@@ -8,7 +8,6 @@ Dempster and robust combination.
 """
 
 from .epsnum import (
-    BigRational,
     EPS,
     EpsPolynomial,
     EpsRational,
@@ -43,8 +42,6 @@ from .refinement import (
     RefinementError,
     ScenarioUndefinedError,
     TWO_PATH_LAWS,
-    refine_exclusive_pair,
-    refine_subcase,
     two_path_eval,
 )
 from .embedding import (
@@ -53,9 +50,6 @@ from .embedding import (
     FieldElem,
     Frac,
     UnitSearchError,
-    choose_unit,
-    embed_value,
-    field_inverse,
     verify_embedding,
 )
 from .credal import (
@@ -63,9 +57,9 @@ from .credal import (
     CredalSet,
     Decomposition,
     ExtDist,
+    Frame,
     ImpossibleEventError,
     IncompatibleCredalError,
-    OutcomeSpace,
     PlausVector,
     combine_laplace,
     condition,
@@ -75,7 +69,6 @@ from .credal import (
     more_plausible,
 )
 from .evidence import (
-    Frame,
     GelmanReport,
     MassFunction,
     SelectionBudgetError,

@@ -16,13 +16,14 @@ from .credal import ImpossibleEventError, IncompatibleCredalError
 from .embedding import UnitSearchError, verify_embedding
 from .evidence import SelectionBudgetError, TotalConflictError, run_gelman
 from .kernels import DomainError, UndefinedSumError, check_axioms, get_kernel
-from .parser import EpsSyntaxError, parse_eps_expr
-from .refinement import ScenarioUndefinedError, two_path_eval
-from .scenario import ScenarioError, load_scenario, run_query, run_queries, Query
+from .parser import parse_eps_expr
+from .refinement import TWO_PATH_LAWS, ScenarioUndefinedError, two_path_eval
+from .scenario import Query, load_scenario, run_query, run_queries
 
 __all__ = ["dispatch", "main"]
 
-_USAGE_ERRORS = (EpsSyntaxError, ScenarioError, OSError, ZeroDivisionError)
+# Semantic findings are caught first: several subclass ValueError, which
+# otherwise marks a usage, parse or validation error.
 _SEMANTIC_ERRORS = (
     TotalConflictError,
     ImpossibleEventError,
@@ -33,6 +34,10 @@ _SEMANTIC_ERRORS = (
     UnitSearchError,
     DomainError,
 )
+_USAGE_ERRORS = (ValueError, OSError, ZeroDivisionError)
+
+# The lawful built-in kernels; KERNELS also holds the broken-s control.
+_KERNEL_CHOICES = ("rat", "eps", "bool")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,12 +48,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-axioms", help="sample the kernel laws and report each")
-    p.add_argument("--kernel", required=True, choices=("rat", "eps", "bool"))
+    p.add_argument("--kernel", required=True, choices=_KERNEL_CHOICES)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("embed", help="verify the ordered-field embedding on samples")
-    p.add_argument("--kernel", required=True, choices=("rat", "eps", "bool"))
+    p.add_argument("--kernel", required=True, choices=_KERNEL_CHOICES)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
@@ -73,9 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
 
     p = sub.add_parser("scenario-law", help="evaluate an algebraic law along two derivations")
-    p.add_argument("--kernel", required=True, choices=("rat", "eps", "bool"))
-    p.add_argument("--law", required=True,
-                   choices=("assoc_F", "comm_F", "comm_G", "assoc_G", "distrib"))
+    p.add_argument("--kernel", required=True, choices=_KERNEL_CHOICES)
+    p.add_argument("--law", required=True, choices=TWO_PATH_LAWS)
     p.add_argument("values", nargs="+", help="eps-expressions, one per law operand")
 
     sub.add_parser("gelman", help="run the boxer/wrestler/coin comparison")
@@ -109,11 +113,8 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "ds":
         scenario = load_scenario(args.file)
-        names = _split_names(args.bodies)
-        if not names:
-            raise ScenarioError("--bodies", "no body names given")
         op = "dempster" if args.rule == "dempster" else "robust-combine"
-        for line in run_query(scenario, Query(op, {"bodies": names})):
+        for line in run_query(scenario, Query(op, {"bodies": _split_names(args.bodies)})):
             print(line)
         return 0
 

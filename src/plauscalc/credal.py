@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .epsnum import ONE, ZERO, EpsRational, const
+from .epsnum import ONE, ZERO, EpsRational, as_eps
 
 __all__ = [
     "ImpossibleEventError",
     "IncompatibleCredalError",
-    "OutcomeSpace",
+    "Frame",
     "ExtDist",
     "CredalSet",
     "PlausVector",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 Prob = Union[int, Fraction, EpsRational]
+SetLike = Union[int, Iterable[str]]
 
 
 class ImpossibleEventError(ValueError):
@@ -50,27 +51,31 @@ class IncompatibleCredalError(ValueError):
     """Combination annihilated every index pair."""
 
 
-def _as_eps(x: Prob) -> EpsRational:
-    if isinstance(x, EpsRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return const(x)
-    raise TypeError(f"not an exact probability value: {x!r}")
-
-
 @dataclass(frozen=True)
-class OutcomeSpace:
-    """Finite ordered set of atomic outcomes."""
+class Frame:
+    """Finite ordered frame of mutually exclusive outcomes.
+
+    Credal sets index their distributions by it; bodies of evidence encode
+    subsets of it as bitmasks, bit ``i`` standing for ``atoms[i]``.
+    """
 
     atoms: tuple[str, ...]
 
     def __init__(self, atoms: Iterable[str]):
         atoms = tuple(atoms)
         if not atoms:
-            raise ValueError("outcome space must be nonempty")
+            raise ValueError("frame must be nonempty")
         if len(set(atoms)) != len(atoms):
-            raise ValueError("outcome names must be unique")
+            raise ValueError("atom names must be unique")
         object.__setattr__(self, "atoms", atoms)
+
+    @property
+    def size(self) -> int:
+        return len(self.atoms)
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.size) - 1
 
     def index(self, atom: str) -> int:
         try:
@@ -84,23 +89,42 @@ class OutcomeSpace:
             self.index(a)
         return ev
 
+    def mask_of(self, subset: SetLike) -> int:
+        if isinstance(subset, int):
+            if not 0 <= subset <= self.full_mask:
+                raise KeyError(f"mask {subset} out of range")
+            return subset
+        mask = 0
+        for name in subset:
+            mask |= 1 << self.index(name)
+        return mask
+
+    def names_of(self, mask: int) -> tuple[str, ...]:
+        return tuple(a for i, a in enumerate(self.atoms) if mask >> i & 1)
+
+    def atom_indices(self, mask: int) -> tuple[int, ...]:
+        return tuple(i for i in range(self.size) if mask >> i & 1)
+
+    def fmt_set(self, mask: int) -> str:
+        return "{" + ",".join(self.names_of(mask)) + "}"
+
 
 @dataclass(frozen=True)
 class ExtDist:
     """One exact distribution: nonnegative values summing to exactly 1."""
 
-    space: OutcomeSpace
+    space: Frame
     probs: tuple[EpsRational, ...]
 
-    def __init__(self, space: OutcomeSpace, probs):
+    def __init__(self, space: Frame, probs):
         if isinstance(probs, Mapping):
             missing = set(space.atoms) - set(probs)
             extra = set(probs) - set(space.atoms)
             if missing or extra:
                 raise ValueError(f"distribution atoms mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-            values = tuple(_as_eps(probs[a]) for a in space.atoms)
+            values = tuple(as_eps(probs[a]) for a in space.atoms)
         else:
-            values = tuple(_as_eps(p) for p in probs)
+            values = tuple(as_eps(p) for p in probs)
             if len(values) != len(space.atoms):
                 raise ValueError("wrong number of probabilities")
         total = ZERO
@@ -131,12 +155,12 @@ class ExtDist:
 
 @dataclass(frozen=True)
 class CredalSet:
-    """Nonempty indexed family of distributions over one outcome space."""
+    """Nonempty indexed family of distributions over one frame."""
 
-    space: OutcomeSpace
+    space: Frame
     dists: tuple[ExtDist, ...]
 
-    def __init__(self, space: OutcomeSpace, dists: Iterable[ExtDist]):
+    def __init__(self, space: Frame, dists: Iterable[ExtDist]):
         dists = tuple(dists)
         if not dists:
             raise ValueError("credal set must contain at least one distribution")
@@ -163,7 +187,7 @@ class PlausVector:
     __slots__ = ("components",)
 
     def __init__(self, components: Iterable[Prob]):
-        comps = tuple(_as_eps(c) for c in components)
+        comps = tuple(as_eps(c) for c in components)
         if not comps:
             raise ValueError("empty plausibility vector")
         object.__setattr__(self, "components", comps)
@@ -190,14 +214,14 @@ class PlausVector:
 
     @classmethod
     def constant(cls, value: Prob, size: int) -> "PlausVector":
-        return cls([_as_eps(value)] * size)
+        return cls([as_eps(value)] * size)
 
     def _zip(self, other: Union["PlausVector", Prob]):
         if isinstance(other, PlausVector):
             if len(other) != len(self):
                 raise ValueError("length mismatch")
             return zip(self.components, other.components)
-        v = _as_eps(other)
+        v = as_eps(other)
         return ((c, v) for c in self.components)
 
     def __add__(self, other) -> "PlausVector":
@@ -282,7 +306,7 @@ def condition(c: CredalSet, event: Iterable[str]) -> CredalSet:
     kept_atoms = tuple(a for a in c.space.atoms if a in ev)
     if not kept_atoms:
         raise ImpossibleEventError("conditioning on impossible event: empty event")
-    new_space = OutcomeSpace(kept_atoms)
+    new_space = Frame(kept_atoms)
     survivors = []
     for d in c.dists:
         pe = d.event_prob(ev)

@@ -37,9 +37,6 @@ __all__ = [
     "Diff",
     "FieldElem",
     "Embedding",
-    "choose_unit",
-    "embed_value",
-    "field_inverse",
     "EmbeddingReport",
     "verify_embedding",
 ]
@@ -224,9 +221,6 @@ class Embedding:
 
     # -- difference layer -----------------------------------------------------------
 
-    def diff(self, pos: Frac, neg: Frac) -> Diff:
-        return Diff(pos, neg)
-
     def diff_of(self, x: Frac) -> Diff:
         return Diff(x, self.frac_zero)
 
@@ -302,21 +296,6 @@ class Embedding:
         return FieldElem(self.diff_of(Frac(x, self.kernel.top)), self.diff_one, self)
 
 
-# -- module-level operation surface ---------------------------------------------
-
-
-def choose_unit(kernel: Kernel, n: int) -> Value:
-    return Embedding(kernel).choose_unit(n)
-
-
-def embed_value(kernel: Kernel, x: Value) -> FieldElem:
-    return Embedding(kernel).embed(x)
-
-
-def field_inverse(x: FieldElem) -> FieldElem:
-    return x.emb.field_inverse(x)
-
-
 @dataclass
 class EmbeddingReport:
     kernel: str
@@ -349,39 +328,32 @@ def verify_embedding(kernel: Kernel, samples: int = 200, seed: int = 0) -> Embed
         for name in ("multiplicative", "additive", "order-preserving", "injective")
     }
 
-    def record(name: str, ok: bool, witness: tuple, detail: str) -> None:
-        c = checks[name]
-        c.checked += 1
-        if not ok and c.witness is None:
-            c.witness = tuple(k.fmt(w) for w in witness)
-            c.detail = detail
-
     for _ in range(samples):
         x = k.sample(rng)
         y = k.sample(rng)
         ex, ey = emb.embed(x), emb.embed(y)
 
-        record(
-            "multiplicative",
+        checks["multiplicative"].record(
+            k,
             emb.field_eq(emb.embed(k.F(x, y)), emb.field_mul(ex, ey)),
             (x, y),
             "embed(F(x,y)) != embed(x) * embed(y)",
         )
         if k.g_defined(x, y):
-            record(
-                "additive",
+            checks["additive"].record(
+                k,
                 emb.field_eq(emb.embed(k.G(x, y)), emb.field_add(ex, ey)),
                 (x, y),
                 "embed(G(x,y)) != embed(x) + embed(y)",
             )
-        record(
-            "order-preserving",
+        checks["order-preserving"].record(
+            k,
             k.lt(x, y) == emb.field_lt(ex, ey) and k.lt(y, x) == emb.field_lt(ey, ex),
             (x, y),
             "order of embeddings disagrees with kernel order",
         )
-        record(
-            "injective",
+        checks["injective"].record(
+            k,
             k.eq(x, y) == emb.field_eq(ex, ey),
             (x, y),
             "embedding identifies distinct values (or splits equal ones)",

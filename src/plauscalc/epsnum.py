@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 __all__ = [
-    "BigRational",
     "EpsPolynomial",
     "EpsRational",
     "InfiniteValueError",
@@ -31,10 +30,8 @@ __all__ = [
     "ONE",
     "EPS",
     "const",
+    "as_eps",
 ]
-
-# Coefficients and standard parts are plain arbitrary-precision rationals.
-BigRational = Fraction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -542,6 +539,14 @@ def _coerce(x) -> EpsRational:
     if isinstance(x, (int, Fraction)):
         return const(x)
     return NotImplemented
+
+
+def as_eps(x: _Coercible) -> EpsRational:
+    """An exact value (int, Fraction or EpsRational) as a field element."""
+    value = _coerce(x)
+    if value is NotImplemented:
+        raise TypeError(f"not an exact value: {x!r}")
+    return value
 
 
 def _scale_normal(num: EpsPolynomial, den: EpsPolynomial) -> tuple[EpsPolynomial, EpsPolynomial]:

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping
 
-from .credal import CredalSet, ExtDist, OutcomeSpace, combine_laplace, envelopes
-from .epsnum import ONE, ZERO, EpsRational, const
+from .credal import CredalSet, ExtDist, Frame, Prob, SetLike, combine_laplace, envelopes
+from .epsnum import ONE, ZERO, EpsRational, as_eps
 
 __all__ = [
     "TotalConflictError",
     "SelectionBudgetError",
-    "Frame",
     "MassFunction",
     "dempster_combine",
     "bel_pl",
@@ -38,9 +37,6 @@ __all__ = [
     "run_gelman",
 ]
 
-Prob = Union[int, Fraction, EpsRational]
-SetLike = Union[int, Iterable[str]]
-
 
 class TotalConflictError(ValueError):
     """Dempster combination with conflict mass exactly 1."""
@@ -48,62 +44,6 @@ class TotalConflictError(ValueError):
 
 class SelectionBudgetError(ValueError):
     """Credal translation would enumerate too many selection functions."""
-
-
-def _as_eps(x: Prob) -> EpsRational:
-    if isinstance(x, EpsRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return const(x)
-    raise TypeError(f"not an exact mass value: {x!r}")
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Finite ordered frame of mutually exclusive outcomes."""
-
-    atoms: tuple[str, ...]
-
-    def __init__(self, atoms: Iterable[str]):
-        atoms = tuple(atoms)
-        if not atoms:
-            raise ValueError("frame must be nonempty")
-        if len(set(atoms)) != len(atoms):
-            raise ValueError("atom names must be unique")
-        object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def size(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
-
-    def mask_of(self, subset: SetLike) -> int:
-        if isinstance(subset, int):
-            if not 0 <= subset <= self.full_mask:
-                raise KeyError(f"mask {subset} out of range")
-            return subset
-        mask = 0
-        for name in subset:
-            try:
-                mask |= 1 << self.atoms.index(name)
-            except ValueError:
-                raise KeyError(f"unknown atom {name!r}") from None
-        return mask
-
-    def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(a for i, a in enumerate(self.atoms) if mask >> i & 1)
-
-    def atom_indices(self, mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if mask >> i & 1)
-
-    def fmt_set(self, mask: int) -> str:
-        return "{" + ",".join(self.names_of(mask)) + "}"
-
-    def outcome_space(self) -> OutcomeSpace:
-        return OutcomeSpace(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -117,7 +57,7 @@ class MassFunction:
         acc: dict[int, EpsRational] = {}
         for subset, mass in masses.items():
             mask = frame.mask_of(subset)
-            acc[mask] = acc.get(mask, ZERO) + _as_eps(mass)
+            acc[mask] = acc.get(mask, ZERO) + as_eps(mass)
         if 0 in acc:
             raise ValueError("the empty set cannot carry mass")
         total = ZERO
@@ -202,7 +142,6 @@ def mass_to_credal(m: MassFunction, budget: int = 10**6) -> CredalSet:
                 f"credal translation needs more than {budget} selection functions"
                 f" (at least {count})"
             )
-    space = m.frame.outcome_space()
     n = m.frame.size
     seen: dict[tuple[EpsRational, ...], None] = {}
     choices = [m.frame.atom_indices(mask) for mask, _ in m.focal]
@@ -218,8 +157,8 @@ def mass_to_credal(m: MassFunction, budget: int = 10**6) -> CredalSet:
             build(i + 1, nxt)
 
     build(0, [ZERO] * n)
-    dists = [ExtDist(space, probs) for probs in seen]
-    return CredalSet(space, dists)
+    dists = [ExtDist(m.frame, probs) for probs in seen]
+    return CredalSet(m.frame, dists)
 
 
 # ---------------------------------------------------------------------------

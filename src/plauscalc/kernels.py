@@ -319,6 +319,13 @@ class AxiomCheck:
     def passed(self) -> bool:
         return self.witness is None
 
+    def record(self, kernel: Kernel, ok: bool, witness: tuple, detail: str) -> None:
+        """Count one check; keep the first failure, its witness in kernel format."""
+        self.checked += 1
+        if not ok and self.witness is None:
+            self.witness = tuple(kernel.fmt(w) for w in witness)
+            self.detail = detail
+
     def format(self) -> str:
         if self.passed:
             return f"PASS {self.name} ({self.checked} checks)"
@@ -366,27 +373,18 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
     bot, top = k.bottom, k.top
     report = AxiomReport(kernel=k.name, samples=samples, seed=seed)
 
-    def law(name: str) -> AxiomCheck:
-        return report.checks.setdefault(name, AxiomCheck(name))
-
-    def record(name: str, ok: bool, witness: tuple, detail: str) -> None:
-        c = law(name)
-        c.checked += 1
-        if not ok and c.witness is None:
-            c.witness = tuple(k.fmt(w) for w in witness)
-            c.detail = detail
-
     def g_try(x, y):
         return k._g(x, y) if k.g_defined(x, y) else None
 
     # Register every law up front so the report lists them in a fixed order.
+    law = report.checks
     for name in (
         "F-symmetry", "F-associativity", "G-symmetry", "G-associativity",
         "F-over-G-distributivity", "F-monotonicity", "G-monotonicity",
         "S-antitone", "G-bottom-unit", "F-bottom-absorbing", "F-top-unit",
         "S-involution", "S-bottom-is-top", "F-below-min", "G-above-max",
     ):
-        law(name)
+        law[name] = AxiomCheck(name)
 
     for _ in range(samples):
         x = k.sample(rng)
@@ -394,9 +392,9 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
         z = k.sample(rng)
 
         fxy = k._f(x, y)
-        record("F-symmetry", k.eq(fxy, k._f(y, x)), (x, y), "F(x,y) != F(y,x)")
-        record(
-            "F-associativity",
+        law["F-symmetry"].record(k, k.eq(fxy, k._f(y, x)), (x, y), "F(x,y) != F(y,x)")
+        law["F-associativity"].record(
+            k,
             k.eq(k._f(fxy, z), k._f(x, k._f(y, z))),
             (x, y, z),
             "F(F(x,y),z) != F(x,F(y,z))",
@@ -405,8 +403,8 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
         gxy = g_try(x, y)
         gyx = g_try(y, x)
         if gxy is not None or gyx is not None:
-            record(
-                "G-symmetry",
+            law["G-symmetry"].record(
+                k,
                 gxy is not None and gyx is not None and k.eq(gxy, gyx),
                 (x, y),
                 "G(x,y) and G(y,x) differ or one side is undefined",
@@ -416,8 +414,8 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
         gyz = g_try(y, z)
         right = g_try(x, gyz) if gyz is not None else None
         if left is not None or right is not None:
-            record(
-                "G-associativity",
+            law["G-associativity"].record(
+                k,
                 left is not None and right is not None and k.eq(left, right),
                 (x, y, z),
                 "G(G(x,y),z) and G(x,G(y,z)) differ or one side is undefined",
@@ -426,21 +424,21 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
         if gxy is not None:
             fxz, fyz = k._f(x, z), k._f(y, z)
             dist = g_try(fxz, fyz)
-            record(
-                "F-over-G-distributivity",
+            law["F-over-G-distributivity"].record(
+                k,
                 dist is not None and k.eq(k._f(gxy, z), dist),
                 (x, y, z),
                 "F(G(x,y),z) != G(F(x,z),F(y,z))",
             )
-            record(
-                "G-above-max",
+            law["G-above-max"].record(
+                k,
                 k.leq(x, gxy) and k.leq(y, gxy),
                 (x, y),
                 "G(x,y) below an argument",
             )
 
-        record(
-            "F-below-min",
+        law["F-below-min"].record(
+            k,
             k.leq(fxy, x) and k.leq(fxy, y),
             (x, y),
             "F(x,y) above an argument",
@@ -448,37 +446,37 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
 
         if k.lt(x, y):
             if not k.eq(z, bot):
-                record(
-                    "F-monotonicity",
+                law["F-monotonicity"].record(
+                    k,
                     k.lt(k._f(x, z), k._f(y, z)) and k.lt(k._f(z, x), k._f(z, y)),
                     (x, y, z),
                     "x < y but F(x,z) !< F(y,z) with z != bottom",
                 )
             if g_try(y, z) is not None and g_try(x, z) is not None:
-                record(
-                    "G-monotonicity",
+                law["G-monotonicity"].record(
+                    k,
                     k.lt(k._g(x, z), k._g(y, z)),
                     (x, y, z),
                     "x < y but G(x,z) !< G(y,z)",
                 )
-            record(
-                "S-antitone",
+            law["S-antitone"].record(
+                k,
                 k.lt(k._s(y), k._s(x)),
                 (x, y),
                 "x < y but S(x) !> S(y)",
             )
 
-        record("G-bottom-unit", k.eq(k._g(x, bot), x), (x,), "G(x,bottom) != x")
-        record("F-bottom-absorbing", k.eq(k._f(bot, x), bot), (x,), "F(bottom,x) != bottom")
-        record("F-top-unit", k.eq(k._f(x, top), x), (x,), "F(x,top) != x")
-        record(
-            "S-involution",
+        law["G-bottom-unit"].record(k, k.eq(k._g(x, bot), x), (x,), "G(x,bottom) != x")
+        law["F-bottom-absorbing"].record(k, k.eq(k._f(bot, x), bot), (x,), "F(bottom,x) != bottom")
+        law["F-top-unit"].record(k, k.eq(k._f(x, top), x), (x,), "F(x,top) != x")
+        law["S-involution"].record(
+            k,
             k.eq(k._s(k._s(x)), x),
             (x,),
             f"S(S(x)) = {k.fmt(k._s(k._s(x)))} != x",
         )
 
-    record("S-bottom-is-top", k.eq(k._s(bot), top), (bot,), "S(bottom) != top")
+    law["S-bottom-is-top"].record(k, k.eq(k._s(bot), top), (bot,), "S(bottom) != top")
     return report
 
 

@@ -27,8 +27,6 @@ __all__ = [
     "ScenarioUndefinedError",
     "Event",
     "Model",
-    "refine_subcase",
-    "refine_exclusive_pair",
     "TWO_PATH_LAWS",
     "two_path_eval",
 ]
@@ -200,20 +198,9 @@ class Model:
         return path
 
 
-def refine_subcase(m: Model, parent: str, name: str, p: Value, **kw) -> Model:
-    return m.refine_subcase(parent, name, p, **kw)
-
-
-def refine_exclusive_pair(m: Model, parent: str, x: Value, y: Value, **kw) -> Model:
-    return m.refine_exclusive_pair(parent, x, y, **kw)
-
-
 # ---------------------------------------------------------------------------
 # Two-path scenarios
 # ---------------------------------------------------------------------------
-
-TWO_PATH_LAWS = ("assoc_F", "comm_F", "comm_G", "assoc_G", "distrib")
-
 
 def _scenario_assoc_f(k: Kernel, a: Value, b: Value, c: Value) -> tuple[Value, Value]:
     # Chain: A under B under C under the root; target is the triple
@@ -289,6 +276,8 @@ _SCENARIOS = {
     "assoc_G": (_scenario_assoc_g, 3),
     "distrib": (_scenario_distrib, 3),
 }
+
+TWO_PATH_LAWS = tuple(_SCENARIOS)
 
 
 def two_path_eval(kernel: Kernel, law: str, values: Sequence[Value]) -> tuple[Value, Value]:

@@ -19,6 +19,8 @@ floating point never enters the I/O path.  Schema::
       ]
     }
 
+Each query's op and arguments are checked at load time against
+:data:`QUERY_OPS`, the one table of ops, their argument kinds and runners.
 Validation failures raise :class:`ScenarioError` carrying a path into the
 document; semantic failures while executing queries raise the operation's
 own exception.
@@ -28,11 +30,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from functools import reduce
+from typing import Any, Callable, Iterable
 
 from .credal import (
     CredalSet,
     ExtDist,
+    Frame,
     combine_laplace,
     condition,
     decompose,
@@ -40,10 +44,20 @@ from .credal import (
     event_plausibility,
     more_plausible,
 )
-from .evidence import Frame, MassFunction, bel_pl, dempster_combine, mass_to_credal
+from .evidence import MassFunction, bel_pl, dempster_combine, mass_to_credal
 from .parser import EpsSyntaxError, parse_eps_expr
 
-__all__ = ["ScenarioError", "Query", "Scenario", "load_scenario", "run_queries"]
+__all__ = [
+    "ScenarioError",
+    "Query",
+    "Scenario",
+    "QUERY_OPS",
+    "check_query",
+    "load_scenario",
+    "parse_scenario",
+    "run_queries",
+    "run_query",
+]
 
 
 class ScenarioError(ValueError):
@@ -66,18 +80,6 @@ class Scenario:
     bodies: dict[str, MassFunction] = field(default_factory=dict)
     credals: dict[str, CredalSet] = field(default_factory=dict)
     queries: tuple[Query, ...] = ()
-
-    def body(self, name: str) -> MassFunction:
-        try:
-            return self.bodies[name]
-        except KeyError:
-            raise KeyError(f"unknown body of evidence {name!r}") from None
-
-    def credal(self, name: str) -> CredalSet:
-        try:
-            return self.credals[name]
-        except KeyError:
-            raise KeyError(f"unknown credal set {name!r}") from None
 
 
 def _number(text: Any, path: str):
@@ -144,7 +146,6 @@ def parse_scenario(doc: Any) -> Scenario:
             raise ScenarioError(f"{where}.masses", str(exc)) from exc
 
     credals: dict[str, CredalSet] = {}
-    space = frame.outcome_space()
     for i, item in enumerate(doc.get("credals", [])):
         where = f"credals[{i}]"
         name = item.get("name") if isinstance(item, dict) else None
@@ -168,60 +169,147 @@ def parse_scenario(doc: Any) -> Scenario:
             for atom in frame.atoms:
                 probs.setdefault(atom, 0)
             try:
-                dists.append(ExtDist(space, probs))
+                dists.append(ExtDist(frame, probs))
             except ValueError as exc:
                 raise ScenarioError(epath, str(exc)) from exc
-        credals[name] = CredalSet(space, dists)
+        credals[name] = CredalSet(frame, dists)
 
     queries = []
     for i, item in enumerate(doc.get("queries", [])):
-        where = f"queries[{i}]"
         if not isinstance(item, dict) or not isinstance(item.get("op"), str):
-            raise ScenarioError(where, "query needs a string 'op'")
-        args = {k: v for k, v in item.items() if k != "op"}
-        queries.append(Query(item["op"], args))
+            raise ScenarioError(f"queries[{i}]", "query needs a string 'op'")
+        queries.append(Query(item["op"], {k: v for k, v in item.items() if k != "op"}))
 
     scenario = Scenario(frame=frame, bodies=bodies, credals=credals, queries=tuple(queries))
-    _check_query_names(scenario)
+    for i, q in enumerate(scenario.queries):
+        check_query(scenario, q, f"queries[{i}]")
     return scenario
 
 
-def _check_query_names(s: Scenario) -> None:
-    for i, q in enumerate(s.queries):
-        where = f"queries[{i}]"
-        for key in ("body",):
-            if key in q.args and q.args[key] not in s.bodies:
-                raise ScenarioError(where, f"unknown body {q.args[key]!r}")
-        for key in ("credal",):
-            if key in q.args and q.args[key] not in s.credals:
-                raise ScenarioError(where, f"unknown credal set {q.args[key]!r}")
-        if "bodies" in q.args:
-            for name in q.args["bodies"]:
-                if name not in s.bodies:
-                    raise ScenarioError(where, f"unknown body {name!r}")
-        for key in ("event", "a", "b"):
-            if key in q.args:
-                for atom in q.args[key]:
-                    if atom not in s.frame.atoms:
-                        raise ScenarioError(where, f"unknown atom {atom!r}")
+# Argument kinds that name scenario entries: what a name denotes, and the
+# names the scenario knows.  The one other kind, "expr", is an eps-expression
+# string.  "body" and "credal" take one name, the rest a list of names.
+_NAME_KINDS = {
+    "body": ("body", lambda s: s.bodies),
+    "bodies": ("body", lambda s: s.bodies),
+    "credal": ("credal set", lambda s: s.credals),
+    "credals": ("credal set", lambda s: s.credals),
+    "event": ("atom", lambda s: s.frame.atoms),
+}
+
+
+def _check_arg(s: Scenario, kind: str, value: Any, path: str) -> None:
+    if kind == "expr":
+        if not isinstance(value, str):
+            raise ScenarioError(path, f"expected an eps-expression string, got {value!r}")
+        return
+    what, known = _NAME_KINDS[kind]
+    if kind in ("body", "credal"):
+        names = [value]
+    elif isinstance(value, list) and (value or kind == "event"):  # an empty event is legal
+        names = value
+    else:
+        size = "" if kind == "event" else "nonempty "
+        raise ScenarioError(path, f"expected a {size}list of {what} names")
+    for name in names:
+        if not isinstance(name, str) or name not in known(s):
+            raise ScenarioError(path, f"unknown {what} {name!r}")
+
+
+def check_query(s: Scenario, q: Query, where: str) -> None:
+    """Check the query's op and the arguments its schema names against the
+    scenario; errors carry paths under ``where``.  Other keys are ignored."""
+    if q.op not in QUERY_OPS:
+        raise ScenarioError(f"{where}.op", f"unknown operation {q.op!r}")
+    schema, _ = QUERY_OPS[q.op]
+    for key, kind in schema.items():
+        if key not in q.args:
+            raise ScenarioError(f"{where}.{key}", "missing argument")
+        _check_arg(s, kind, q.args[key], f"{where}.{key}")
 
 
 def _fmt_event(atoms: Iterable[str]) -> str:
     return "{" + ",".join(atoms) + "}"
 
 
-def _combine_bodies_dempster(s: Scenario, names: list[str]) -> MassFunction:
-    acc = s.body(names[0])
-    for name in names[1:]:
-        acc = dempster_combine(acc, s.body(name))
-    return acc
+def _members(head: str, c: CredalSet) -> list[str]:
+    return [f"{head}: {len(c)} members"] + [f"  member {d}" for d in c.dists]
 
 
-def _combine_bodies_robust(s: Scenario, names: list[str]) -> CredalSet:
-    acc = mass_to_credal(s.body(names[0]))
-    for name in names[1:]:
-        acc = combine_laplace(acc, mass_to_credal(s.body(name)))
-    return acc
+def _order(s: Scenario, a: dict) -> list[str]:
+    left, right = parse_eps_expr(a["left"]), parse_eps_expr(a["right"])
+    verdict = {-1: "LT", 0: "EQ", 1: "GT"}[left.compare(right)]
+    return [f"order {a['left']} vs {a['right']}: {verdict}"]
+
+
+def _bel_pl(s: Scenario, a: dict) -> list[str]:
+    bel, pl = bel_pl(s.bodies[a["body"]], tuple(a["event"]))
+    return [f"bel-pl {a['body']} {_fmt_event(a['event'])}: bel={bel} pl={pl}"]
+
+
+def _dempster(s: Scenario, a: dict) -> list[str]:
+    m = reduce(dempster_combine, (s.bodies[name] for name in a["bodies"]))
+    return [f"dempster {' (x) '.join(a['bodies'])} = {m}"]
+
+
+def _robust_combine(s: Scenario, a: dict) -> list[str]:
+    c = reduce(combine_laplace, (mass_to_credal(s.bodies[name]) for name in a["bodies"]))
+    return _members(f"robust-combine {' (x) '.join(a['bodies'])}", c)
+
+
+def _mass_to_credal(s: Scenario, a: dict) -> list[str]:
+    return _members(f"mass-to-credal {a['body']}", mass_to_credal(s.bodies[a["body"]]))
+
+
+def _laplace(s: Scenario, a: dict) -> list[str]:
+    c = reduce(combine_laplace, (s.credals[name] for name in a["credals"]))
+    return _members(f"laplace {' (x) '.join(a['credals'])}", c)
+
+
+def _event_plausibility(s: Scenario, a: dict) -> list[str]:
+    vec = event_plausibility(s.credals[a["credal"]], tuple(a["event"]))
+    return [f"event-plausibility {a['credal']} {_fmt_event(a['event'])}: {vec}"]
+
+
+def _envelopes(s: Scenario, a: dict) -> list[str]:
+    lo, hi = envelopes(s.credals[a["credal"]], tuple(a["event"]))
+    return [f"envelopes {a['credal']} {_fmt_event(a['event'])}: ({lo}, {hi})"]
+
+
+def _condition(s: Scenario, a: dict) -> list[str]:
+    c = condition(s.credals[a["credal"]], tuple(a["event"]))
+    return _members(f"condition {a['credal']} on {_fmt_event(a['event'])}", c)
+
+
+def _decompose(s: Scenario, a: dict) -> list[str]:
+    vec = event_plausibility(s.credals[a["credal"]], tuple(a["event"]))
+    d = decompose(vec)
+    profile = "none" if d.profile is None else str(d.profile)
+    return [
+        f"decompose {a['credal']} {_fmt_event(a['event'])}: p={vec}",
+        f"  lower={d.lower} spread={d.spread} profile={profile}",
+    ]
+
+
+def _more_plausible(s: Scenario, a: dict) -> list[str]:
+    r = more_plausible(s.credals[a["credal"]], tuple(a["a"]), tuple(a["b"]))
+    return [f"more-plausible {a['credal']} {_fmt_event(a['a'])} vs {_fmt_event(a['b'])}: {r}"]
+
+
+# op -> (argument name -> kind, runner).  Runners see only checked arguments.
+QUERY_OPS: dict[str, tuple[dict[str, str], Callable[[Scenario, dict], list[str]]]] = {
+    "order": ({"left": "expr", "right": "expr"}, _order),
+    "bel-pl": ({"body": "body", "event": "event"}, _bel_pl),
+    "dempster": ({"bodies": "bodies"}, _dempster),
+    "robust-combine": ({"bodies": "bodies"}, _robust_combine),
+    "mass-to-credal": ({"body": "body"}, _mass_to_credal),
+    "laplace": ({"credals": "credals"}, _laplace),
+    "event-plausibility": ({"credal": "credal", "event": "event"}, _event_plausibility),
+    "envelopes": ({"credal": "credal", "event": "event"}, _envelopes),
+    "condition": ({"credal": "credal", "event": "event"}, _condition),
+    "decompose": ({"credal": "credal", "event": "event"}, _decompose),
+    "more-plausible": ({"credal": "credal", "a": "event", "b": "event"}, _more_plausible),
+}
 
 
 def run_queries(s: Scenario) -> list[str]:
@@ -233,58 +321,6 @@ def run_queries(s: Scenario) -> list[str]:
 
 
 def run_query(s: Scenario, q: Query) -> list[str]:
-    op, a = q.op, q.args
-    if op == "order":
-        left = parse_eps_expr(a["left"]) if isinstance(a["left"], str) else a["left"]
-        right = parse_eps_expr(a["right"]) if isinstance(a["right"], str) else a["right"]
-        verdict = {-1: "LT", 0: "EQ", 1: "GT"}[left.compare(right)]
-        return [f"order {a['left']} vs {a['right']}: {verdict}"]
-    if op == "bel-pl":
-        bel, pl = bel_pl(s.body(a["body"]), tuple(a["event"]))
-        return [f"bel-pl {a['body']} {_fmt_event(a['event'])}: bel={bel} pl={pl}"]
-    if op == "dempster":
-        m = _combine_bodies_dempster(s, list(a["bodies"]))
-        return [f"dempster {' (x) '.join(a['bodies'])} = {m}"]
-    if op == "robust-combine":
-        c = _combine_bodies_robust(s, list(a["bodies"]))
-        out = [f"robust-combine {' (x) '.join(a['bodies'])}: {len(c)} members"]
-        out.extend(f"  member {d}" for d in c.dists)
-        return out
-    if op == "mass-to-credal":
-        c = mass_to_credal(s.body(a["body"]))
-        out = [f"mass-to-credal {a['body']}: {len(c)} members"]
-        out.extend(f"  member {d}" for d in c.dists)
-        return out
-    if op == "laplace":
-        names = list(a["credals"])
-        acc = s.credal(names[0])
-        for name in names[1:]:
-            acc = combine_laplace(acc, s.credal(name))
-        out = [f"laplace {' (x) '.join(names)}: {len(acc)} members"]
-        out.extend(f"  member {d}" for d in acc.dists)
-        return out
-    if op == "event-plausibility":
-        vec = event_plausibility(s.credal(a["credal"]), tuple(a["event"]))
-        return [f"event-plausibility {a['credal']} {_fmt_event(a['event'])}: {vec}"]
-    if op == "envelopes":
-        lo, hi = envelopes(s.credal(a["credal"]), tuple(a["event"]))
-        return [f"envelopes {a['credal']} {_fmt_event(a['event'])}: ({lo}, {hi})"]
-    if op == "condition":
-        c = condition(s.credal(a["credal"]), tuple(a["event"]))
-        out = [f"condition {a['credal']} on {_fmt_event(a['event'])}: {len(c)} members"]
-        out.extend(f"  member {d}" for d in c.dists)
-        return out
-    if op == "decompose":
-        vec = event_plausibility(s.credal(a["credal"]), tuple(a["event"]))
-        d = decompose(vec)
-        profile = "none" if d.profile is None else str(d.profile)
-        return [
-            f"decompose {a['credal']} {_fmt_event(a['event'])}: p={vec}",
-            f"  lower={d.lower} spread={d.spread} profile={profile}",
-        ]
-    if op == "more-plausible":
-        r = more_plausible(s.credal(a["credal"]), tuple(a["a"]), tuple(a["b"]))
-        return [
-            f"more-plausible {a['credal']} {_fmt_event(a['a'])} vs {_fmt_event(a['b'])}: {r}"
-        ]
-    raise ScenarioError(f"query op {op!r}", "unknown operation")
+    """Check one query against the scenario, then run it."""
+    check_query(s, q, "query")
+    return QUERY_OPS[q.op][1](s, q.args)

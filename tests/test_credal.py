@@ -10,9 +10,9 @@ from plauscalc.credal import (
     ComparisonResult,
     CredalSet,
     ExtDist,
+    Frame,
     ImpossibleEventError,
     IncompatibleCredalError,
-    OutcomeSpace,
     PlausVector,
     combine_laplace,
     condition,
@@ -24,8 +24,8 @@ from plauscalc.credal import (
 from plauscalc.epsnum import EPS, ONE, ZERO, const
 
 
-AB = OutcomeSpace(("a", "b"))
-ABC = OutcomeSpace(("a", "b", "c"))
+AB = Frame(("a", "b"))
+ABC = Frame(("a", "b", "c"))
 
 
 def dist(space, *probs):
@@ -93,7 +93,7 @@ class TestMorePlausible:
         assert more_plausible(c, ("a",), ("b",)).verdict == "incomparable"
 
     def test_dominated_event(self):
-        sp = OutcomeSpace(("a", "b", "c", "d"))
+        sp = Frame(("a", "b", "c", "d"))
         c = CredalSet(sp, (dist(sp, "1/4", "1/2", "1/8", "1/8"), dist(sp, "1/4", "1/2", "1/8", "1/8")))
         assert more_plausible(c, ("a",), ("b",)).verdict == "no"
         assert more_plausible(c, ("b",), ("a",)).verdict == "yes"

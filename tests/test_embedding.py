@@ -17,9 +17,6 @@ from plauscalc.embedding import (
     Embedding,
     Frac,
     UnitSearchError,
-    choose_unit,
-    embed_value,
-    field_inverse,
     verify_embedding,
 )
 from plauscalc.epsnum import EPS, ONE, ZERO, const
@@ -60,22 +57,22 @@ def _eps_div(a, b):
 
 class TestChooseUnit:
     def test_two_terms(self):
-        assert choose_unit(_RatKernelE23(), 2) == Fr(1, 3)
+        assert Embedding(_RatKernelE23()).choose_unit(2) == Fr(1, 3)
 
     def test_four_terms(self):
-        assert choose_unit(_RatKernelE23(), 4) == Fr(1, 9)
+        assert Embedding(_RatKernelE23()).choose_unit(4) == Fr(1, 9)
 
     def test_one_term_still_scales(self):
-        assert choose_unit(_RatKernelE23(), 1) == Fr(1, 3)
+        assert Embedding(_RatKernelE23()).choose_unit(1) == Fr(1, 3)
 
     def test_trivial_kernel(self, bool_kernel):
         with pytest.raises(TrivialKernelError, match="trivial kernel"):
-            choose_unit(bool_kernel, 2)
+            Embedding(bool_kernel).choose_unit(2)
 
     def test_scaled_sums_stay_defined(self, rat_kernel):
         rng = random.Random(2)
         for n in (2, 3, 4, 7):
-            c = choose_unit(rat_kernel, n)
+            c = Embedding(rat_kernel).choose_unit(n)
             for _ in range(20):
                 vals = [rat_kernel.sample(rng) for _ in range(n)]
                 acc = rat_kernel.F(c, vals[0])
@@ -183,15 +180,15 @@ class TestFieldLayer:
         assert emb.frac_eq(emb.frac(Fr(2, 3), Fr(1)), emb.frac(xx, xxx))
 
     def test_inverse_of_embedded_half(self, emb):
-        two = field_inverse(emb.embed(Fr(1, 2)))
+        two = emb.field_inverse(emb.embed(Fr(1, 2)))
         assert emb.field_eq(two * emb.embed(Fr(1, 2)), emb.one)
 
     def test_inverse_of_one(self, emb):
-        assert emb.field_eq(field_inverse(emb.one), emb.one)
+        assert emb.field_eq(emb.field_inverse(emb.one), emb.one)
 
     def test_inverse_of_zero(self, emb):
         with pytest.raises(ZeroDivisionError):
-            field_inverse(emb.zero)
+            emb.field_inverse(emb.zero)
 
     def test_field_axioms_on_samples(self, emb, rat_kernel):
         rng = random.Random(8)
@@ -209,7 +206,7 @@ class TestFieldLayer:
             assert x * (y + z) == x * y + x * z
             assert x - x == emb.zero
             if emb.field_sign(x) != 0:
-                assert x * field_inverse(x) == emb.one
+                assert x * emb.field_inverse(x) == emb.one
 
     def test_collapse_oracle_identity_on_rationals(self, emb, rat_kernel):
         rng = random.Random(9)
@@ -245,5 +242,5 @@ class TestVerifyEmbedding:
         assert report.all_passed, [c.format() for c in report.checks.values()]
 
     def test_embed_value_entry_point(self, rat_kernel):
-        fe = embed_value(rat_kernel, Fr(2, 3))
+        fe = Embedding(rat_kernel).embed(Fr(2, 3))
         assert collapse_field(fe, _rat_div) == Fr(2, 3)

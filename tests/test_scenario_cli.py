@@ -2,6 +2,7 @@
 contract: 0 success, 1 semantic finding, 2 usage/parse/validation error."""
 
 import json
+import re
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -66,10 +67,30 @@ class TestLoadScenario:
         s = parse_scenario(BASE)
         assert s.credals["point"].dists[0].prob("b") == 0
 
-    def test_query_name_resolution(self):
-        doc = dict(BASE, queries=[{"op": "envelopes", "credal": "nope", "event": ["a"]}])
-        with pytest.raises(ScenarioError, match="unknown credal"):
-            parse_scenario(doc)
+    def test_query_name_resolution(self, tmp_path, capsys):
+        # Each query is checked against its op's argument schema at load time.
+        cases = [
+            ({"op": "envelopes", "credal": "nope", "event": ["a"]},
+             "queries[0].credal: unknown credal set 'nope'"),
+            ({"op": "dempster", "bodies": []}, "queries[0].bodies: expected a nonempty list"),
+            ({"op": "dempster", "bodies": "m"}, "queries[0].bodies: expected a nonempty list"),
+            ({"op": "bel-pl", "body": "m", "event": "ab"}, "queries[0].event: expected a list of atom names"),
+            ({"op": "envelopes", "credal": "c1"}, "queries[0].event: missing argument"),
+            ({"op": "order", "left": 1, "right": "eps"},
+             "queries[0].left: expected an eps-expression string"),
+            ({"op": "no-such-op"}, "queries[0].op: unknown operation 'no-such-op'"),
+            ({"op": "laplace", "credals": ["c1", "nope"]},
+             "queries[0].credals: unknown credal set 'nope'"),
+            ({"op": "more-plausible", "credal": "c1", "a": ["a"], "b": ["z"]},
+             "queries[0].b: unknown atom 'z'"),
+        ]
+        for query, error in cases:
+            doc = dict(BASE, queries=[query])
+            with pytest.raises(ScenarioError, match=re.escape(error)):
+                parse_scenario(doc)
+            assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
 
     def test_load_is_order_independent(self):
         flipped = {
@@ -117,9 +138,15 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "position 5" in err
 
-    def test_unknown_flag_is_usage_error(self):
+    def test_unknown_flag_is_usage_error(self, capsys):
         assert dispatch(["order"]) == 2
         assert dispatch(["no-such-command"]) == 2
+        capsys.readouterr()
+        # bad values that argparse accepts are still one-line usage errors
+        assert dispatch(["scenario-law", "--kernel", "rat", "--law", "distrib", "1/2"]) == 2
+        assert capsys.readouterr().err == "error: law distrib takes 3 values, got 1\n"
+        assert dispatch(["check-axioms", "--kernel", "rat", "--samples", "0"]) == 2
+        assert capsys.readouterr().err == "error: samples must be >= 1\n"
 
     def test_check_axioms_pass(self, capsys):
         assert dispatch(["check-axioms", "--kernel", "rat", "--samples", "120"]) == 0
@@ -155,6 +182,11 @@ class TestCliExitCodes:
         assert dispatch(["ds", "combine", "--rule", "dempster", f, "--bodies", "p,q"]) == 1
         assert "total conflict" in capsys.readouterr().err
         assert dispatch(["ds", "combine", "--rule", "robust", f, "--bodies", "p,v"]) == 0
+        capsys.readouterr()
+        assert dispatch(["ds", "combine", "--rule", "dempster", f, "--bodies", ","]) == 2
+        assert "expected a nonempty list of body names" in capsys.readouterr().err
+        assert dispatch(["ds", "combine", "--rule", "robust", f, "--bodies", "p,nope"]) == 2
+        assert "unknown body 'nope'" in capsys.readouterr().err
 
     def test_credal_commands(self, capsys, tmp_path):
         f = write_scenario(tmp_path, BASE)
@@ -167,6 +199,10 @@ class TestCliExitCodes:
         # conditioning a point mass on its null event: semantic finding
         assert dispatch(["credal", "condition", f, "--credal", "point", "--event", "b"]) == 1
         assert "impossible" in capsys.readouterr().err
+        assert dispatch(["credal", "envelopes", f, "--credal", "nope", "--event", "a"]) == 2
+        assert "unknown credal set 'nope'" in capsys.readouterr().err
+        assert dispatch(["credal", "envelopes", f, "--credal", "c1", "--event", "z"]) == 2
+        assert "unknown atom 'z'" in capsys.readouterr().err
 
     def test_validation_error_is_exit_2(self, capsys, tmp_path):
         f = write_scenario(tmp_path, {"frame": ["a"], "bodies": [
