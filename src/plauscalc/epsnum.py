@@ -1,17 +1,30 @@
 """Exact arithmetic in the ordered field of rational functions of one infinitesimal.
 
-Values are quotients of polynomials in ``eps`` with arbitrary-precision rational
-coefficients.  ``eps`` is ordered as a positive infinitesimal: nonzero, yet
-smaller than every positive rational constant.  The sign of a value is the sign
-it takes for all sufficiently small positive arguments, which is decided
-symbolically from the lowest-order nonzero coefficient of the canonical
-numerator (the canonical denominator is positive near zero by construction).
+Values are quotients of polynomials in ``eps`` with integer coefficients.
+``eps`` is ordered as a positive infinitesimal: nonzero, yet smaller than
+every positive rational constant.  The sign of a value is the sign it takes
+for all sufficiently small positive arguments, which is decided symbolically
+from the lowest-order nonzero coefficient of the canonical numerator (the
+canonical denominator is positive near zero by construction).
 
 Every value is kept in a unique canonical form, so equality is structural:
 
-* numerator and denominator are coprime (monic polynomial gcd convention),
-* all coefficients are integers whose joint gcd is 1,
+* numerator and denominator are coprime as polynomials over the rationals,
+* all coefficients are ``int`` and their joint gcd is 1,
 * the lowest-order nonzero coefficient of the denominator is positive.
+
+Arithmetic on canonical values runs on ``int`` only:
+
+* gcds come from a primitive polynomial remainder sequence over Z: each
+  pseudo-remainder is divided by its content, so coefficients stay integral
+  and small, and cofactors follow by exact division by the primitive gcd;
+* sums use Henrici's method (Knuth, TAOCP vol. 2, section 4.5.1) lifted to
+  polynomials: when the denominators are coprime the cross sum is already in
+  lowest terms, so no gcd of the result is needed;
+* constant operands use plain integer gcds.
+
+:class:`EpsPolynomial` also takes rational (``Fraction``) coefficients;
+:class:`EpsRational` clears their denominators on entry.
 
 All values are immutable and all operations are pure.
 """
@@ -36,44 +49,150 @@ __all__ = [
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
+_Coeff = Union[int, Fraction]
+
 
 class InfiniteValueError(ArithmeticError):
     """Raised when a finite-only operation meets an infinite value."""
 
 
-def _as_fraction(x: Union[int, Fraction]) -> Fraction:
+def _as_coeff(x: _Coeff) -> _Coeff:
+    """An exact coefficient: ``int``, or ``Fraction`` when not integral."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+# -- coefficient sequences, ascending by power ----------------------------------
+#
+# The helpers below work on any exact coefficients; on canonical values they
+# only ever see ``int``.  Nonzero inputs are trimmed (last coefficient nonzero).
+
+
+def _trim(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _padd(a: Sequence, b: Sequence) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _pneg(a: Sequence) -> list:
+    return [-c for c in a]
+
+
+def _pmul(a: Sequence, b: Sequence) -> list:
+    if not a or not b:
+        return []
+    if len(b) == 1:
+        k = b[0]
+        return [c * k for c in a]
+    if len(a) == 1:
+        k = a[0]
+        return [c * k for c in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _lowest(a: Sequence):
+    """Lowest-order nonzero coefficient (0 for the zero polynomial)."""
+    for c in a:
+        if c:
+            return c
+    return 0
+
+
+def _primitive(cs: Sequence) -> list[int]:
+    """The integer polynomial with gcd 1 that is a positive multiple of ``cs``."""
+    l = math.lcm(*[c.denominator for c in cs])
+    ints = [c.numerator * (l // c.denominator) for c in cs]
+    g = math.gcd(*ints)
+    return ints if g == 1 else [c // g for c in ints]
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of ``a`` by ``b``.
+
+    Each step scales the partial remainder by ``lc(b) / gcd(lc(b), c)`` only,
+    where ``c`` is the coefficient being eliminated, which keeps the
+    coefficients smaller than the textbook ``lc(b)**(deg a - deg b + 1)``.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        if c:
+            g = math.gcd(c, lb)
+            m, q = lb // g, c // g
+            if m != 1:
+                r = [x * m for x in r]
+            base = i - db
+            for j in range(db):
+                r[base + j] -= q * b[j]
+    return _trim(r)
+
+
+def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """Primitive gcd, up to sign, of two primitive polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        g = math.gcd(*r)
+        a, b = b, (r if g == 1 else [c // g for c in r])
+    return [1]
+
+
+def _exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """``a / b`` over Z, for a primitive ``b`` that divides ``a`` over Q.
+
+    By Gauss's lemma the quotient has integer coefficients, so every step of
+    the long division divides exactly.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            k = c // lb
+            q[i - db] = k
+            base = i - db
+            for j in range(db):
+                r[base + j] -= k * b[j]
+    return q
 
 
 class EpsPolynomial:
     """Polynomial in ``eps``, coefficients ascending by power, trailing nonzero.
 
-    The empty coefficient sequence is the zero polynomial.
+    Coefficients are ``int``, or ``Fraction`` where not integral.  The empty
+    coefficient sequence is the zero polynomial.
     """
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[_Coeff, ...]
 
-    def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def _raw(cls, coeffs: Sequence[Fraction]) -> "EpsPolynomial":
-        # Internal: coefficients already Fractions, possibly untrimmed.
-        n = len(coeffs)
-        while n and coeffs[n - 1] == 0:
-            n -= 1
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(coeffs[:n]))
-        return p
+    def __init__(self, coeffs: Iterable[_Coeff] = ()):
+        _set_coeffs(self, tuple(_trim([_as_coeff(c) for c in coeffs])))
 
     def __setattr__(self, name, value):
         raise AttributeError("EpsPolynomial is immutable")
@@ -98,15 +217,12 @@ class EpsPolynomial:
         return -1
 
     @property
-    def lowest_coeff(self) -> Fraction:
-        for c in self.coeffs:
-            if c != 0:
-                return c
-        return _F0
+    def lowest_coeff(self) -> _Coeff:
+        return _lowest(self.coeffs)
 
     @property
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else _F0
+    def leading_coeff(self) -> _Coeff:
+        return self.coeffs[-1] if self.coeffs else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -122,43 +238,19 @@ class EpsPolynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return EpsPolynomial._raw(out)
+        return _poly(_padd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        out = list(self.coeffs)
-        b = other.coeffs
-        if len(b) > len(out):
-            out.extend([_F0] * (len(b) - len(out)))
-        for i, c in enumerate(b):
-            out[i] = out[i] - c
-        return EpsPolynomial._raw(out)
+        return _poly(_padd(self.coeffs, _pneg(other.coeffs)))
 
     def __neg__(self) -> "EpsPolynomial":
-        return EpsPolynomial._raw([-c for c in self.coeffs])
+        return _poly(_pneg(self.coeffs))
 
     def __mul__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _P_ZERO
-        out = [_F0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb != 0:
-                    out[i + j] += ca * cb
-        return EpsPolynomial._raw(out)
+        return _poly(_pmul(self.coeffs, other.coeffs))
 
-    def scale(self, k: Fraction) -> "EpsPolynomial":
-        if k == 0:
-            return _P_ZERO
-        return EpsPolynomial._raw([c * k for c in self.coeffs])
+    def scale(self, k: _Coeff) -> "EpsPolynomial":
+        return _poly(_pmul(self.coeffs, (k,)) if k else ())
 
     def divmod(self, other: "EpsPolynomial") -> tuple["EpsPolynomial", "EpsPolynomial"]:
         """Polynomial long division; exact rational arithmetic."""
@@ -169,22 +261,16 @@ class EpsPolynomial:
         dd = other.degree
         if len(rem) - 1 < dd:
             return _P_ZERO, self
-        quot = [_F0] * (len(rem) - dd)
+        quot = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            q = c / dlead
+            q = Fraction(c, dlead)
             quot[i - dd] = q
             for j, b in enumerate(other.coeffs):
                 rem[i - dd + j] -= q * b
-        return EpsPolynomial._raw(quot), EpsPolynomial._raw(rem)
-
-    def __floordiv__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("inexact polynomial division")
-        return q
+        return _poly(quot), _poly(_trim(rem))
 
     def __mod__(self, other: "EpsPolynomial") -> "EpsPolynomial":
         return self.divmod(other)[1]
@@ -197,16 +283,7 @@ class EpsPolynomial:
         lead = self.leading_coeff
         if lead == 1:
             return self
-        return self.scale(1 / lead)
-
-    def primitive(self) -> "EpsPolynomial":
-        """Scale to integer coefficients with gcd 1, keeping the leading sign."""
-        if self.is_zero:
-            return self
-        c = _content([c for c in self.coeffs if c != 0])
-        if c == 1:
-            return self
-        return self.scale(1 / c)
+        return self.scale(Fraction(1, lead))
 
     def eval_at(self, t: Fraction) -> Fraction:
         """Exact evaluation by Horner's rule."""
@@ -241,36 +318,43 @@ class EpsPolynomial:
         return f"EpsPolynomial({list(self.coeffs)!r})"
 
 
-_P_ZERO = EpsPolynomial._raw(())
-_P_ONE = EpsPolynomial._raw((_F1,))
+_new = object.__new__
+_set_coeffs = EpsPolynomial.coeffs.__set__
 
 
-def _content(fracs: Sequence[Fraction]) -> Fraction:
-    """gcd of rationals: gcd of numerators over lcm of denominators, positive."""
-    g = 0
-    l = 1
-    for f in fracs:
-        g = math.gcd(g, abs(f.numerator))
-        l = l * f.denominator // math.gcd(l, f.denominator)
-    return Fraction(g, l)
+def _poly(cs: Sequence[_Coeff]) -> EpsPolynomial:
+    # Internal: coefficients already exact and trimmed.
+    p = _new(EpsPolynomial)
+    _set_coeffs(p, tuple(cs))
+    return p
+
+
+_P_ZERO = _poly(())
+_P_ONE = _poly((1,))
 
 
 def poly_gcd(a: EpsPolynomial, b: EpsPolynomial) -> EpsPolynomial:
-    """Monic gcd via the Euclidean algorithm.
+    """Monic gcd over the rationals.
 
-    Remainders are rescaled to primitive form each step to keep coefficient
-    growth in check; rescaling changes nothing up to units.
+    Computed as the primitive gcd over Z by a primitive remainder sequence,
+    then divided by its leading coefficient.
     """
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    a = a.primitive()
-    b = b.primitive()
-    while not b.is_zero:
-        r = a % b
-        a, b = b, r.primitive() if not r.is_zero else r
-    return a.monic()
+    g = _prs_gcd(_primitive(a.coeffs), _primitive(b.coeffs))
+    return _poly(g).monic()
+
+
+def _common_factor(a: Sequence[int], b: Sequence[int]):
+    """Primitive gcd of two nonzero integer polynomials; None when it is constant."""
+    if len(a) == 1 or len(b) == 1:
+        return None
+    g = poly_gcd(_poly(a), _poly(b))
+    if len(g.coeffs) == 1:
+        return None
+    return _primitive(g.coeffs)
 
 
 def positive_root_lower_bound(p: EpsPolynomial) -> Fraction:
@@ -291,7 +375,7 @@ def positive_root_lower_bound(p: EpsPolynomial) -> Fraction:
     if len(q) == 1:
         return _F1
     low = abs(q[0])
-    h = _F1 + max(abs(c) / low for c in q[1:])
+    h = _F1 + max(Fraction(abs(c), low) for c in q[1:])
     return 1 / h
 
 
@@ -317,17 +401,11 @@ class EpsRational:
     ):
         n = num if isinstance(num, EpsPolynomial) else _to_poly(num)
         d = den if isinstance(den, EpsPolynomial) else _to_poly(den)
-        n, d = _canonical(n, d)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
-
-    @classmethod
-    def _canonical_raw(cls, num: EpsPolynomial, den: EpsPolynomial) -> "EpsRational":
-        # Internal: the pair is already canonical.
-        x = object.__new__(cls)
-        object.__setattr__(x, "num", num)
-        object.__setattr__(x, "den", den)
-        return x
+        # Clear the coefficient denominators of both parts at once.
+        cs = _primitive(n.coeffs + d.coeffs)
+        x = _canonical(cs[: len(n.coeffs)], cs[len(n.coeffs) :])
+        _set_num(self, x.num)
+        _set_den(self, x.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("EpsRational is immutable")
@@ -340,16 +418,16 @@ class EpsRational:
 
     def sign(self) -> int:
         """Sign taken on a punctured right neighbourhood of zero: -1, 0 or 1."""
-        c = self.num.lowest_coeff
+        c = _lowest(self.num.coeffs)
         return -1 if c < 0 else (0 if c == 0 else 1)
 
     def is_finite(self) -> bool:
         """True unless the value grows without bound as eps shrinks."""
-        return self.is_zero or self.den.valuation == 0
+        return self.is_zero or self.den.coeffs[0] != 0
 
     def is_infinitesimal(self) -> bool:
         """Nonzero, yet smaller in magnitude than every positive rational."""
-        return not self.is_zero and self.is_finite() and self.num.valuation > 0
+        return not self.is_zero and self.is_finite() and self.num.coeffs[0] == 0
 
     def standard_part(self) -> Fraction:
         """Value at eps = 0; defined only for finite elements."""
@@ -357,10 +435,10 @@ class EpsRational:
             raise InfiniteValueError("infinite")
         if self.is_zero:
             return _F0
-        return self.num.coeffs[0] / self.den.coeffs[0] if self.num.valuation == 0 else _F0
+        return Fraction(self.num.coeffs[0], self.den.coeffs[0])
 
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
+        return len(self.num.coeffs) <= 1 and len(self.den.coeffs) == 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -368,11 +446,7 @@ class EpsRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return EpsRational(self.num + other.num, self.den)
-        return EpsRational(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return _sum(self.num.coeffs, self.den.coeffs, other.num.coeffs, other.den.coeffs)
 
     __radd__ = __add__
 
@@ -380,11 +454,7 @@ class EpsRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return EpsRational(self.num - other.num, self.den)
-        return EpsRational(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return _sum(self.num.coeffs, self.den.coeffs, _pneg(other.num.coeffs), other.den.coeffs)
 
     def __rsub__(self, other: _Coercible) -> "EpsRational":
         other = _coerce(other)
@@ -393,34 +463,37 @@ class EpsRational:
         return other - self
 
     def __neg__(self) -> "EpsRational":
-        return EpsRational._canonical_raw(-self.num, self.den)
+        return _make(_pneg(self.num.coeffs), self.den.coeffs)
 
     def __mul__(self, other: _Coercible) -> "EpsRational":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        na, da = self.num.coeffs, self.den.coeffs
+        nb, db = other.num.coeffs, other.den.coeffs
+        if not na or not nb:
             return ZERO
+        if len(na) == len(da) == len(nb) == len(db) == 1:
+            return _ratio(na[0] * nb[0], da[0] * db[0])
         # Inputs are canonical, so gcd(na*nb, da*db) = gcd(na,db) * gcd(nb,da):
         # reduce crosswise and skip the full gcd of the products.
-        na, da = self.num, self.den
-        nb, db = other.num, other.den
-        g1 = poly_gcd(na, db)
-        if g1.degree > 0:
-            na, db = na // g1, db // g1
-        g2 = poly_gcd(nb, da)
-        if g2.degree > 0:
-            nb, da = nb // g2, da // g2
-        num, den = _scale_normal(na * nb, da * db)
-        return EpsRational._canonical_raw(num, den)
+        g = _common_factor(na, db)
+        if g is not None:
+            na, db = _exquo(na, g), _exquo(db, g)
+        g = _common_factor(nb, da)
+        if g is not None:
+            nb, da = _exquo(nb, g), _exquo(da, g)
+        return _normal(_pmul(na, nb), _pmul(da, db))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "EpsRational":
         if self.is_zero:
             raise ZeroDivisionError("division by zero")
-        num, den = _scale_normal(self.den, self.num)
-        return EpsRational._canonical_raw(num, den)
+        num, den = self.den.coeffs, self.num.coeffs
+        if _lowest(den) < 0:
+            num, den = _pneg(num), _pneg(den)
+        return _make(num, den)
 
     def __truediv__(self, other: _Coercible) -> "EpsRational":
         other = _coerce(other)
@@ -459,18 +532,13 @@ class EpsRational:
             raise TypeError("cannot compare EpsRational with that type")
         # Denominators are positive near 0+, so only the numerator cross
         # difference decides the sign; no canonicalization needed.
-        if self.den == other.den:
-            diff = self.num - other.num
-        else:
-            diff = self.num * other.den - other.num * self.den
-        c = diff.lowest_coeff
-        return -1 if c < 0 else (0 if c == 0 else 1)
+        return _cross_sign(self.num.coeffs, other.den.coeffs, other.num.coeffs, self.den.coeffs)
 
     def __eq__(self, other) -> bool:
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num.coeffs == o.num.coeffs and self.den.coeffs == o.den.coeffs
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
@@ -487,7 +555,7 @@ class EpsRational:
     def __hash__(self) -> int:
         if self.is_constant():
             # Align with hash(Fraction) so mixed-type dict keys behave.
-            return hash(self.num.coeffs[0] / self.den.coeffs[0] if self.num.coeffs else _F0)
+            return hash(self.standard_part())
         return hash((self.num.coeffs, self.den.coeffs))
 
     def __bool__(self) -> bool:
@@ -497,7 +565,7 @@ class EpsRational:
 
     def eval_at(self, t: Union[int, Fraction]) -> Fraction:
         """Exact value at a rational point; raises on a pole."""
-        t = _as_fraction(t)
+        t = _as_coeff(t)
         d = self.den.eval_at(t)
         if d == 0:
             raise ZeroDivisionError(f"pole at {t}")
@@ -527,6 +595,18 @@ class EpsRational:
         return f"EpsRational({str(self)!r})"
 
 
+_set_num = EpsRational.num.__set__
+_set_den = EpsRational.den.__set__
+
+
+def _make(num: Sequence[int], den: Sequence[int]) -> EpsRational:
+    # Internal: the coefficient pair is already canonical.
+    x = _new(EpsRational)
+    _set_num(x, _poly(num))
+    _set_den(x, _P_ONE if len(den) == 1 and den[0] == 1 else _poly(den))
+    return x
+
+
 def _to_poly(x) -> EpsPolynomial:
     if isinstance(x, (int, Fraction)):
         return EpsPolynomial((x,))
@@ -549,37 +629,87 @@ def as_eps(x: _Coercible) -> EpsRational:
     return value
 
 
-def _scale_normal(num: EpsPolynomial, den: EpsPolynomial) -> tuple[EpsPolynomial, EpsPolynomial]:
-    """Joint content and sign normalization of an already-coprime pair."""
-    c = _content([x for x in num.coeffs if x != 0] + [x for x in den.coeffs if x != 0])
-    if den.lowest_coeff < 0:
+# -- canonical forms over Z -------------------------------------------------------
+
+
+def _ratio(p: int, q: int) -> EpsRational:
+    """The constant p/q, for q != 0."""
+    if not p:
+        return ZERO
+    g = math.gcd(p, q)
+    if q < 0:
+        g = -g
+    return _make((p // g,), (q // g,))
+
+
+def _normal(num: Sequence[int], den: Sequence[int]) -> EpsRational:
+    """Content and sign normalization of a pair coprime over Q."""
+    if not num:
+        return ZERO
+    c = math.gcd(*num, *den)
+    if _lowest(den) < 0:
         c = -c
     if c != 1:
-        num = num.scale(1 / c)
-        den = den.scale(1 / c)
-    return num, den
+        num = [x // c for x in num]
+        den = [x // c for x in den]
+    return _make(num, den)
 
 
-def _canonical(num: EpsPolynomial, den: EpsPolynomial) -> tuple[EpsPolynomial, EpsPolynomial]:
-    if den.is_zero:
+def _canonical(num: list[int], den: list[int]) -> EpsRational:
+    """Canonical form of num/den for integer coefficient lists."""
+    num, den = _trim(num), _trim(den)
+    if not den:
         raise ZeroDivisionError("division by zero")
-    if num.is_zero:
-        return _P_ZERO, _P_ONE
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num = num // g
-        den = den // g
-    return _scale_normal(num, den)
+    if len(num) <= 1 and len(den) == 1:
+        return _ratio(num[0] if num else 0, den[0])
+    g = _common_factor(num, den) if num else None
+    if g is not None:
+        num, den = _exquo(num, g), _exquo(den, g)
+    return _normal(num, den)
 
 
-ZERO = EpsRational(0)
-ONE = EpsRational(1)
-EPS = EpsRational(EpsPolynomial((0, 1)))
+def _sum(a: Sequence[int], b: Sequence[int], c: Sequence[int], d: Sequence[int]) -> EpsRational:
+    """a/b + c/d for canonical pairs, by Henrici's method."""
+    if len(b) == 1 and len(d) == 1 and len(a) <= 1 and len(c) <= 1:
+        return _ratio((a[0] * d[0] if a else 0) + (c[0] * b[0] if c else 0), b[0] * d[0])
+    if b == d:
+        return _canonical(_padd(a, c), list(b))
+    g = _common_factor(b, d)
+    if g is None:
+        # gcd(b, d) = 1 with gcd(a, b) = gcd(c, d) = 1 makes a*d + c*b coprime
+        # to b*d: the cross sum is already in lowest terms.
+        return _normal(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+    # b = g*b1, d = g*d1: only g can share a factor with t = a*d1 + c*b1.
+    b1, d1 = _exquo(b, g), _exquo(d, g)
+    t = _padd(_pmul(a, d1), _pmul(c, b1))
+    if not t:
+        return ZERO
+    g2 = _common_factor(t, g)
+    if g2 is not None:
+        t, d = _exquo(t, g2), _exquo(d, g2)
+    return _normal(t, _pmul(b1, d))
+
+
+def _cross_sign(a: Sequence[int], d: Sequence[int], c: Sequence[int], b: Sequence[int]) -> int:
+    """Sign near 0+ of a*d - c*b, computed from the lowest power up."""
+    la, ld, lc, lb = len(a), len(d), len(c), len(b)
+    for k in range(max(la + ld, lc + lb) - 1):
+        s = 0
+        for i in range(max(0, k - ld + 1), min(k + 1, la)):
+            s += a[i] * d[k - i]
+        for i in range(max(0, k - lb + 1), min(k + 1, lc)):
+            s -= c[i] * b[k - i]
+        if s:
+            return 1 if s > 0 else -1
+    return 0
+
+
+ZERO = _make((), (1,))
+ONE = _make((1,), (1,))
+EPS = _make((0, 1), (1,))
 
 
 def const(q: Union[int, Fraction]) -> EpsRational:
     """The rational constant q as a field element."""
-    q = _as_fraction(q)
-    return EpsRational._canonical_raw(
-        EpsPolynomial((q.numerator,)), EpsPolynomial((q.denominator,))
-    ) if q != 0 else ZERO
+    q = _as_coeff(q)
+    return _make((q.numerator,), (q.denominator,)) if q else ZERO

@@ -224,7 +224,7 @@ class EpsKernel(Kernel):
         return ONE
 
     def contains(self, x: Value) -> bool:
-        return isinstance(x, EpsRational) and x.sign() >= 0 and (ONE - x).sign() >= 0
+        return isinstance(x, EpsRational) and x.sign() >= 0 and x.compare(ONE) <= 0
 
     def coerce(self, x: Value) -> EpsRational:
         if isinstance(x, (int, Fraction)):
@@ -248,7 +248,7 @@ class EpsKernel(Kernel):
         v = q0 + q1 * EPS + q2 * (EPS * EPS)
         if v.sign() < 0:
             return ZERO
-        if (ONE - v).sign() < 0:
+        if v.compare(ONE) > 0:
             return ONE
         return v
 

@@ -12,6 +12,17 @@ Grammar (whitespace insensitive)::
 literals.  All arithmetic is exact, so ``1/2`` parsed as a division and as a
 rational literal denote the same value.  Parsing yields the canonical
 :class:`~plauscalc.epsnum.EpsRational` of the expression.
+
+Three limits keep the time and memory of a parse bounded for any input; a
+violation is an :class:`EpsSyntaxError` like any other:
+
+* ``MAX_TOKENS`` tokens in one expression;
+* ``MAX_DEPTH`` levels of nested parentheses and unary minus signs;
+* ``MAX_SIZE`` for the *size* of an expression: the number of literals and
+  ``eps`` symbols it has once every power ``x^n`` is written out as ``n``
+  copies of ``x`` (one copy for ``x^0``).  The size bounds the degree of every intermediate value
+  and the growth of its coefficients, and with it the exponents: ``eps^n``
+  has size ``n``.
 """
 
 from __future__ import annotations
@@ -22,7 +33,23 @@ from typing import Optional, Union
 
 from .epsnum import EPS, EpsRational, const
 
-__all__ = ["EpsSyntaxError", "parse_eps_expr", "parse_ast", "Num", "Var", "BinOp", "Power", "Negate"]
+__all__ = [
+    "EpsSyntaxError",
+    "parse_eps_expr",
+    "parse_ast",
+    "Num",
+    "Var",
+    "BinOp",
+    "Power",
+    "Negate",
+    "MAX_TOKENS",
+    "MAX_DEPTH",
+    "MAX_SIZE",
+]
+
+MAX_TOKENS = 1000
+MAX_DEPTH = 100
+MAX_SIZE = 256
 
 
 class EpsSyntaxError(ValueError):
@@ -81,7 +108,7 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
     n = len(text)
-    while i < n:
+    while i < n and len(tokens) <= MAX_TOKENS:
         ch = text[i]
         if ch.isspace():
             i += 1
@@ -108,6 +135,8 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         raise EpsSyntaxError(f"unexpected character {ch!r}", i)
+    if len(tokens) > MAX_TOKENS:
+        raise EpsSyntaxError(f"more than {MAX_TOKENS} tokens", tokens[MAX_TOKENS].pos)
     tokens.append(_Token("end", "", n))
     return tokens
 
@@ -116,9 +145,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Each rule returns the parsed node and its size (see ``MAX_SIZE``)."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     @property
     def token(self) -> _Token:
@@ -143,54 +175,79 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         t = self.token
         if t.kind != "end":
             raise EpsSyntaxError(f"unexpected {t.text!r}", t.pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Node, int]:
+        node, size = self.term()
         while True:
+            t = self.token
             op = self.accept_op("+", "-")
             if op is None:
-                return node
-            node = BinOp(op, node, self.term())
+                return node, size
+            right, right_size = self.term()
+            node, size = BinOp(op, node, right), _checked_size(size + right_size, t)
 
-    def term(self) -> Node:
-        node = self.power()
+    def term(self) -> tuple[Node, int]:
+        node, size = self.power()
         while True:
+            t = self.token
             op = self.accept_op("*", "/")
             if op is None:
-                return node
-            node = BinOp(op, node, self.power())
+                return node, size
+            right, right_size = self.power()
+            node, size = BinOp(op, node, right), _checked_size(size + right_size, t)
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self) -> tuple[Node, int]:
+        base, size = self.atom()
         if self.accept_op("^"):
             t = self.token
             if t.kind != "int":
                 raise EpsSyntaxError("expected a nonnegative integer exponent", t.pos)
             self.advance()
-            return Power(base, int(t.text))
-        return base
+            n = _int(t)
+            # x^0 still evaluates x, so it costs one copy of it.
+            return Power(base, n), _checked_size(max(n, 1) * size, t)
+        return base, size
 
-    def atom(self) -> Node:
-        if self.accept_op("-"):
-            return Negate(self.atom())
+    def atom(self) -> tuple[Node, int]:
         t = self.token
+        if t.kind == "op" and t.text in ("-", "("):
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise EpsSyntaxError(f"nested more than {MAX_DEPTH} deep", t.pos)
+            self.advance()
+            if t.text == "-":
+                node, size = self.atom()
+                node = Negate(node)
+            else:
+                node, size = self.expr()
+                self.expect_op(")")
+            self.depth -= 1
+            return node, size
         if t.kind == "int":
             self.advance()
-            return Num(Fraction(int(t.text)))
+            return Num(Fraction(_int(t))), 1
         if t.kind == "eps":
             self.advance()
-            return Var()
-        if t.kind == "op" and t.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return Var(), 1
         raise EpsSyntaxError("expected a value", t.pos)
+
+
+def _int(t: _Token) -> int:
+    try:
+        return int(t.text)
+    except ValueError:  # longer than the interpreter converts
+        raise EpsSyntaxError("integer literal too long", t.pos) from None
+
+
+def _checked_size(size: int, at: _Token) -> int:
+    if size > MAX_SIZE:
+        raise EpsSyntaxError(f"expression too large (size over {MAX_SIZE})", at.pos)
+    return size
 
 
 def _evaluate(node: Node) -> EpsRational:

@@ -91,6 +91,17 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
 
+    def test_sum_cancels_factor_shared_by_denominators(self):
+        # 1/(eps(1+eps)) - 1/(eps(1+2eps)): the cross sum eps cancels the
+        # common factor eps of the denominators
+        d = ONE / (EPS * (1 + EPS)) - ONE / (EPS * (1 + 2 * EPS))
+        assert (d.num, d.den) == (P(1), P(1, 3, 2))
+
+    def test_reciprocal_keeps_denominator_positive(self):
+        for x in (-EPS, EPS - 3, (ONE - 2 * EPS) / (EPS - 3), const(Fr(-2, 5))):
+            r = x.reciprocal()
+            assert r.den.lowest_coeff > 0 and r * x == ONE
+
     def test_mixed_coercion(self):
         assert EPS + 1 == ONE + EPS
         assert 2 * EPS == EPS + EPS
@@ -269,3 +280,78 @@ class TestPolyGcd:
             assert (b * g) % gg == EpsPolynomial(())
             # g divides the gcd of the padded pair
             assert gg % poly_gcd(g, gg) == EpsPolynomial(())
+
+    def test_content_above_one(self):
+        # 6 + 12 eps = 6 (1 + 2 eps) and 4 + 8 eps = 4 (1 + 2 eps)
+        assert poly_gcd(P(6, 12), P(4, 8)) == P(Fr(1, 2), 1)
+        assert poly_gcd(P(0, 6, 12), P(0, 0, 4, 8)) == P(0, Fr(1, 2), 1)
+
+    def test_negative_leading_coefficients(self):
+        # (1 - eps) and (1 - eps^2) = (1 - eps)(1 + eps)
+        assert poly_gcd(P(1, -1), P(1, 0, -1)) == P(-1, 1)
+        assert poly_gcd(P(-2, 0, -2), P(-3, 0, -3)) == P(1, 0, 1)
+
+    def test_constant_gcd(self):
+        assert poly_gcd(P(1, 1), P(2, 1)) == P(1)
+        assert poly_gcd(P(3), P(0, 5)) == P(1)
+        assert poly_gcd(P(7), P(-14)) == P(1)
+
+    def test_equal_operands(self):
+        p = P(-4, 6, 2)
+        assert poly_gcd(p, p) == p.monic() == P(-2, 3, 1)
+
+    def test_zero(self):
+        assert poly_gcd(P(), P(0, 2)) == P(0, 1)
+        assert poly_gcd(P(0, 0, -3), P()) == P(0, 0, 1)
+        assert poly_gcd(P(), P()) == P()
+
+
+class TestExactTypes:
+    """Canonical values hold ``int``; oracles and standard parts return ``Fraction``."""
+
+    def values(self):
+        rng = random.Random(37)
+        xs = [ZERO, ONE, EPS, const(3), const(Fr(-2, 3)), ONE / EPS, (1 + EPS) / (2 - EPS)]
+        xs += [rand_eps_rational(rng, max_deg=4, bound=20) for _ in range(40)]
+        return xs
+
+    def test_canonical_coefficients_are_int(self):
+        xs = self.values()
+        results = xs + [a + b for a, b in zip(xs, xs[1:])] + [a * b for a, b in zip(xs, xs[2:])]
+        results += [a - b for a, b in zip(xs, xs[3:])] + [x.reciprocal() for x in xs if x]
+        results += [-x for x in xs] + [x ** 3 for x in xs[:10]]
+        for x in results:
+            assert all(type(c) is int for c in x.num.coeffs + x.den.coeffs), x
+
+    def test_oracles_return_fractions(self):
+        for x in self.values():
+            if x.is_finite():
+                assert type(x.standard_part()) is Fr
+            b = x.sign_agreement_bound()
+            assert type(b) is Fr and b > 0
+            for t in (b / 2, Fr(1, 3), 2):
+                try:
+                    assert type(x.eval_at(t)) is Fr
+                except ZeroDivisionError:
+                    pass
+            if not x.is_zero:
+                assert type(positive_root_lower_bound(x.num)) is Fr
+        assert type(P(3, 1).eval_at(2)) is Fr
+        assert positive_root_lower_bound(P(2, -7, 3)) == Fr(2, 9)
+
+    def test_fraction_input_matches_integer_cleared_input(self):
+        rng = random.Random(53)
+        for _ in range(100):
+            num = rand_poly(rng, 4, bound=30)
+            den = rand_poly(rng, 4, bound=30, nonzero=True)
+            scale = 1
+            for c in num.coeffs + den.coeffs:
+                scale = scale * Fr(c).denominator
+            ints = (EpsPolynomial([int(c * scale) for c in num.coeffs]),
+                    EpsPolynomial([int(c * scale) for c in den.coeffs]))
+            assert EpsRational(num, den) == EpsRational(*ints)
+            assert EpsRational(list(num.coeffs), list(den.coeffs)) == EpsRational(*ints)
+        assert EpsRational([Fr(1, 2), Fr(1, 3)], [Fr(5, 6)]) == EpsRational([3, 2], [5])
+        assert EpsPolynomial([Fr(4, 2), Fr(1, 2)]).coeffs == (2, Fr(1, 2))
+        assert type(EpsPolynomial([Fr(4, 2)]).coeffs[0]) is int
+

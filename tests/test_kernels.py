@@ -63,6 +63,14 @@ class TestOperations:
         with pytest.raises(DomainError):
             eps_kernel.S(-EPS)
 
+    def test_eps_domain_matches_subtraction_definition(self, eps_kernel):
+        near = [ZERO, ONE, EPS, -EPS, ONE - EPS, ONE + EPS, ONE + EPS ** 3, ONE - EPS ** 3 / (1 + EPS),
+                ONE / (ONE - EPS), (ONE - EPS) / (ONE + EPS), ONE / EPS, const(2), const(Fr(1, 2))]
+        rng = random.Random(5)
+        values = near + [eps_kernel.sample(rng) + (EPS - EPS * EPS) * rng.randint(-2, 2) for _ in range(200)]
+        for x in values:
+            assert eps_kernel.contains(x) == (x.sign() >= 0 and (ONE - x).sign() >= 0), x
+
 
 class TestAxiomChecker:
     @pytest.mark.parametrize("seed", [0, 1, 2024])

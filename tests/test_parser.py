@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plauscalc.epsnum import EPS, ONE, ZERO, const
-from plauscalc.parser import EpsSyntaxError, parse_eps_expr
+from plauscalc.parser import MAX_DEPTH, MAX_SIZE, EpsSyntaxError, parse_eps_expr
 
 from conftest import rand_eps_rational
 
@@ -79,3 +79,37 @@ class TestRoundTrip:
         for text in ("0", "1", "eps", "1/(eps)", "eps/2", "1 - eps", "(1 + 2*eps)/(2 + eps)"):
             v = parse_eps_expr(text)
             assert parse_eps_expr(str(v)) == v
+
+
+class TestLimits:
+    @pytest.mark.parametrize("text, why", [
+        ("(" * 3000 + "1" + ")" * 3000, "tokens"),  # was an uncaught RecursionError
+        ("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "deep"),
+        ("-" * (MAX_DEPTH + 1) + "1", "deep"),
+        ("(1+eps)^2000", "too large"),  # took seconds before any limit
+        (f"eps^{MAX_SIZE + 1}", "too large"),
+        ("((1+eps)^16)^16", "too large"),  # nested powers multiply
+        ("*".join(["(1+eps)^16"] * 9), "too large"),  # products add
+        ("(eps+eps+eps+eps)^0*" * 65 + "1", "too large"),  # x^0 still evaluates x
+        ("+".join(["((1))"] * 200), "tokens"),
+        ("1" * 5000, "literal too long"),  # longer than the interpreter converts
+        ("eps^" + "9" * 5000, "literal too long"),
+    ])
+    def test_hostile_input_is_a_syntax_error(self, text, why):
+        with pytest.raises(EpsSyntaxError, match=why):
+            parse_eps_expr(text)
+
+    def test_limits_are_inclusive(self):
+        assert parse_eps_expr("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH) == ONE
+        assert parse_eps_expr("-" * MAX_DEPTH + "1") == const(1 if MAX_DEPTH % 2 == 0 else -1)
+        assert parse_eps_expr(f"eps^{MAX_SIZE}") == EPS ** MAX_SIZE
+        assert parse_eps_expr("+".join(["eps"] * MAX_SIZE)) == MAX_SIZE * EPS
+
+    def test_benchmark_sized_expressions_are_admitted(self):
+        # degree-12 numerator over degree-6 denominator, the largest shape the
+        # benchmark generator writes
+        num = " + ".join(f"{-97 + 13 * i}*eps^{i}" for i in range(13))
+        den = " + ".join(f"{5 + i}*eps^{i}" for i in range(7))
+        x = parse_eps_expr(f"({num})/({den})")
+        assert (x.num.degree, x.den.degree) == (12, 6)
+

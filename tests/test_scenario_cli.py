@@ -138,6 +138,12 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "position 5" in err
 
+    @pytest.mark.parametrize("text", ["(" * 3000 + "1" + ")" * 3000, "(1+eps)^2000"])
+    def test_hostile_expression_is_one_line_usage_error(self, capsys, text):
+        assert dispatch(["order", text, "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: syntax error at position ") and err.count("\n") == 1
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert dispatch(["order"]) == 2
         assert dispatch(["no-such-command"]) == 2
