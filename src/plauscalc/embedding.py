@@ -21,6 +21,15 @@ A kernel value ``d`` embeds as ``(d - 0) / (1 - 0)``; the embedding sends
 bottom to 0, top to 1, F to multiplication and G (where defined) to addition.
 :func:`verify_embedding` samples those properties and reports witnesses for
 any failure.
+
+Kernel values are checked once, where they enter: :meth:`Embedding.frac`,
+:meth:`Embedding.embed`, an explicit ``unit`` given to
+:meth:`Embedding.frac_add`, and ``S(e)`` in :meth:`Embedding.base_unit`.  The
+contents of a :class:`Frac`, :class:`Diff` or :class:`FieldElem` built by
+those factories or by the tower operations are trusted, and the operations
+run on the kernel's unchecked ``_f``, ``_g`` and ``_g_defined``.  A ``Frac``
+built by hand with an entry outside the domain is not caught by a tower
+operation.
 """
 
 from __future__ import annotations
@@ -161,7 +170,7 @@ class Embedding:
         if k.eq(self._units[0], k.top):
             return k.top if i == 0 else None
         while len(self._units) <= i:
-            self._units.append(k.F(self._units[-1], self._units[0]))
+            self._units.append(k._f(self._units[-1], self._units[0]))
         return self._units[i]
 
     def choose_unit(self, n: int) -> Value:
@@ -176,7 +185,7 @@ class Embedding:
         exponent = max(1, (n - 1).bit_length())
         out = c
         for _ in range(exponent - 1):
-            out = self.kernel.F(out, c)
+            out = self.kernel._f(out, c)
         return out
 
     # -- quotient layer -----------------------------------------------------------
@@ -190,15 +199,15 @@ class Embedding:
 
     def frac_eq(self, x: Frac, y: Frac) -> bool:
         k = self.kernel
-        return k.eq(k.F(x.a, y.b), k.F(x.b, y.a))
+        return k.eq(k._f(x.a, y.b), k._f(x.b, y.a))
 
     def frac_lt(self, x: Frac, y: Frac) -> bool:
         k = self.kernel
-        return k.lt(k.F(x.a, y.b), k.F(y.a, x.b))
+        return k.lt(k._f(x.a, y.b), k._f(y.a, x.b))
 
     def frac_mul(self, x: Frac, y: Frac) -> Frac:
         k = self.kernel
-        return Frac(k.F(x.a, y.a), k.F(x.b, y.b))
+        return Frac(k._f(x.a, y.a), k._f(x.b, y.b))
 
     def frac_add(self, x: Frac, y: Frac, unit: Optional[Value] = None) -> Frac:
         """[a,b] + [c,d] = [e.a.d + e.c.b, e.b.d] for a unit e keeping G defined.
@@ -207,16 +216,18 @@ class Embedding:
         candidate units are tried smallest power first.
         """
         k = self.kernel
+        if unit is not None:
+            k._require(unit)
         candidates = (
             [unit] if unit is not None else (self._unit(i) for i in range(self.unit_budget))
         )
         for e in candidates:
             if e is None:
                 break
-            t1 = k.F(e, k.F(x.a, y.b))
-            t2 = k.F(e, k.F(y.a, x.b))
-            if k.g_defined(t1, t2):
-                return Frac(k.G(t1, t2), k.F(e, k.F(x.b, y.b)))
+            t1 = k._f(e, k._f(x.a, y.b))
+            t2 = k._f(e, k._f(y.a, x.b))
+            if k._g_defined(t1, t2):
+                return Frac(k._g(t1, t2), k._f(e, k._f(x.b, y.b)))
         raise UnitSearchError("summation unit exhausted")
 
     # -- difference layer -----------------------------------------------------------
@@ -335,14 +346,14 @@ def verify_embedding(kernel: Kernel, samples: int = 200, seed: int = 0) -> Embed
 
         checks["multiplicative"].record(
             k,
-            emb.field_eq(emb.embed(k.F(x, y)), emb.field_mul(ex, ey)),
+            emb.field_eq(emb.embed(k._f(x, y)), emb.field_mul(ex, ey)),
             (x, y),
             "embed(F(x,y)) != embed(x) * embed(y)",
         )
-        if k.g_defined(x, y):
+        if k._g_defined(x, y):
             checks["additive"].record(
                 k,
-                emb.field_eq(emb.embed(k.G(x, y)), emb.field_add(ex, ey)),
+                emb.field_eq(emb.embed(k._g(x, y)), emb.field_add(ex, ey)),
                 (x, y),
                 "embed(G(x,y)) != embed(x) + embed(y)",
             )

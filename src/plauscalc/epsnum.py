@@ -32,6 +32,7 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -39,6 +40,8 @@ __all__ = [
     "EpsPolynomial",
     "EpsRational",
     "InfiniteValueError",
+    "DigitLimitError",
+    "exact_str",
     "ZERO",
     "ONE",
     "EPS",
@@ -54,6 +57,29 @@ _Coeff = Union[int, Fraction]
 
 class InfiniteValueError(ArithmeticError):
     """Raised when a finite-only operation meets an infinite value."""
+
+
+class DigitLimitError(ValueError):
+    """An exact result has an integer too long to print.
+
+    The interpreter refuses to print an int of more than
+    ``sys.get_int_max_str_digits()`` decimal digits, since the conversion
+    takes quadratic time; that limit is kept.
+    """
+
+    def __init__(self):
+        super().__init__(
+            "result too large to print: an integer has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits"
+        )
+
+
+def exact_str(x: object) -> str:
+    """``str(x)`` for an exact value, or :class:`DigitLimitError`."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DigitLimitError() from None
 
 
 def _as_coeff(x: _Coeff) -> _Coeff:
@@ -298,20 +324,23 @@ class EpsPolynomial:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif i == 1:
-                body = "eps" if mag == 1 else f"{mag}*eps"
-            else:
-                body = f"eps^{i}" if mag == 1 else f"{mag}*eps^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        try:
+            for i, c in enumerate(self.coeffs):
+                if c == 0:
+                    continue
+                mag = abs(c)
+                if i == 0:
+                    body = str(mag)
+                elif i == 1:
+                    body = "eps" if mag == 1 else f"{mag}*eps"
+                else:
+                    body = f"eps^{i}" if mag == 1 else f"{mag}*eps^{i}"
+                if not parts:
+                    parts.append(body if c > 0 else f"-{body}")
+                else:
+                    parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        except ValueError:  # only the int-to-str digit limit raises here
+            raise DigitLimitError() from None
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -11,6 +11,11 @@ declarations are exactly what lets a derived conditional be computed along
 more than one derivation path; :func:`two_path_eval` builds the minimal model
 for each algebraic law and evaluates the same conditional both ways.  On any
 kernel whose operations satisfy the checked axioms the two results coincide.
+
+Values are checked once, where they enter a model: :meth:`Model.refine_subcase`
+and :meth:`Model.refine_exclusive_pair` reject a value outside the kernel's
+domain with :class:`RefinementError`.  Queries then combine the assigned
+values with the kernel's unchecked ``_f``, ``_s`` and ``_g_sum``.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ class Model:
         k = self.kernel
         if not k.contains(x) or not k.contains(y):
             raise RefinementError("values outside the kernel domain")
-        if not k.leq(x, k.S(y)):
+        if not k.leq(x, k._s(y)):
             raise ExclusivityError(
                 f"exclusivity impossible: {k.fmt(x)} exceeds S({k.fmt(y)})"
             )
@@ -159,12 +164,12 @@ class Model:
         if assoc == "left":
             acc = vals[0]
             for v in vals[1:]:
-                acc = k.F(acc, v)
+                acc = k._f(acc, v)
             return acc
         if assoc == "right":
             acc = vals[-1]
             for v in reversed(vals[:-1]):
-                acc = k.F(v, acc)
+                acc = k._f(v, acc)
             return acc
         raise ValueError("assoc must be 'left' or 'right'")
 
@@ -172,7 +177,7 @@ class Model:
         """Conjunction of two independent siblings, conditioning on ``second`` first."""
         a = self.conditional(first, also_given=(second,))
         b = self.conditional(second)
-        return self.kernel.F(a, b)
+        return self.kernel._f(a, b)
 
     def exclusive_disjunction(self, first: str, second: str) -> Value:
         """Disjunction of a declared-exclusive sibling pair, in argument order."""
@@ -180,7 +185,7 @@ class Model:
             raise RefinementError(f"{first!r}, {second!r} are not declared exclusive")
         k = self.kernel
         try:
-            return k.G(self.values[first], self.values[second])
+            return k._g_sum(self.values[first], self.values[second])
         except UndefinedSumError as exc:
             raise ScenarioUndefinedError(f"scenario undefined: {exc}") from exc
 
@@ -259,11 +264,11 @@ def _scenario_distrib(k: Kernel, x: Value, y: Value, z: Value) -> tuple[Value, V
         raise ScenarioUndefinedError(f"scenario undefined: {exc}") from exc
     m = m.refine_subcase(m.root, "C", z, independent_of=("A", "B"))
     union = m.exclusive_disjunction("A", "B")
-    left = k.F(union, m.conditional("C"))
-    ac = k.F(m.conditional("A", also_given=("C",)), m.conditional("C"))
-    bc = k.F(m.conditional("B", also_given=("C",)), m.conditional("C"))
+    left = k._f(union, m.conditional("C"))
+    ac = k._f(m.conditional("A", also_given=("C",)), m.conditional("C"))
+    bc = k._f(m.conditional("B", also_given=("C",)), m.conditional("C"))
     try:
-        right = k.G(ac, bc)
+        right = k._g_sum(ac, bc)
     except UndefinedSumError as exc:
         raise ScenarioUndefinedError(f"scenario undefined: {exc}") from exc
     return left, right

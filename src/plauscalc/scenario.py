@@ -44,6 +44,7 @@ from .credal import (
     event_plausibility,
     more_plausible,
 )
+from .epsnum import exact_str
 from .evidence import MassFunction, bel_pl, dempster_combine, mass_to_credal
 from .parser import EpsSyntaxError, parse_eps_expr
 
@@ -97,6 +98,13 @@ def _string_list(value: Any, path: str) -> list[str]:
     return value
 
 
+def _section(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioError(key, "expected a list")
+    return value
+
+
 def load_scenario(path: str) -> Scenario:
     """Load and fully validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -118,7 +126,7 @@ def parse_scenario(doc: Any) -> Scenario:
         raise ScenarioError("frame", str(exc)) from exc
 
     bodies: dict[str, MassFunction] = {}
-    for i, item in enumerate(doc.get("bodies", [])):
+    for i, item in enumerate(_section(doc, "bodies")):
         where = f"bodies[{i}]"
         name = item.get("name") if isinstance(item, dict) else None
         if not isinstance(name, str):
@@ -146,7 +154,7 @@ def parse_scenario(doc: Any) -> Scenario:
             raise ScenarioError(f"{where}.masses", str(exc)) from exc
 
     credals: dict[str, CredalSet] = {}
-    for i, item in enumerate(doc.get("credals", [])):
+    for i, item in enumerate(_section(doc, "credals")):
         where = f"credals[{i}]"
         name = item.get("name") if isinstance(item, dict) else None
         if not isinstance(name, str):
@@ -175,7 +183,7 @@ def parse_scenario(doc: Any) -> Scenario:
         credals[name] = CredalSet(frame, dists)
 
     queries = []
-    for i, item in enumerate(doc.get("queries", [])):
+    for i, item in enumerate(_section(doc, "queries")):
         if not isinstance(item, dict) or not isinstance(item.get("op"), str):
             raise ScenarioError(f"queries[{i}]", "query needs a string 'op'")
         queries.append(Query(item["op"], {k: v for k, v in item.items() if k != "op"}))
@@ -273,7 +281,10 @@ def _event_plausibility(s: Scenario, a: dict) -> list[str]:
 
 def _envelopes(s: Scenario, a: dict) -> list[str]:
     lo, hi = envelopes(s.credals[a["credal"]], tuple(a["event"]))
-    return [f"envelopes {a['credal']} {_fmt_event(a['event'])}: ({lo}, {hi})"]
+    return [
+        f"envelopes {a['credal']} {_fmt_event(a['event'])}: "
+        f"({exact_str(lo)}, {exact_str(hi)})"
+    ]
 
 
 def _condition(s: Scenario, a: dict) -> list[str]:

@@ -20,7 +20,7 @@ from plauscalc.embedding import (
     verify_embedding,
 )
 from plauscalc.epsnum import EPS, ONE, ZERO, const
-from plauscalc.kernels import RatKernel, TrivialKernelError, get_kernel
+from plauscalc.kernels import DomainError, RatKernel, TrivialKernelError, get_kernel
 
 
 class _RatKernelE23(RatKernel):
@@ -244,3 +244,20 @@ class TestVerifyEmbedding:
     def test_embed_value_entry_point(self, rat_kernel):
         fe = Embedding(rat_kernel).embed(Fr(2, 3))
         assert collapse_field(fe, _rat_div) == Fr(2, 3)
+
+
+class TestBoundaryChecks:
+    """Kernel values are checked where they enter the tower."""
+
+    @pytest.mark.parametrize("name, bad", [("rat", Fr(3, 2)), ("eps", -EPS), ("bool", 1)])
+    def test_entry_points_reject_values_outside_domain(self, name, bad):
+        k = get_kernel(name)
+        emb = Embedding(k)
+        for call in (
+            lambda: emb.frac(bad, k.top),
+            lambda: emb.frac(k.top, bad),
+            lambda: emb.embed(bad),
+            lambda: emb.frac_add(emb.frac_one, emb.frac_one, unit=bad),
+        ):
+            with pytest.raises(DomainError):
+                call()

@@ -12,7 +12,9 @@ import pytest
 
 from plauscalc.epsnum import EPS, ONE, ZERO, const
 from plauscalc.kernels import (
+    KERNELS,
     DomainError,
+    RatKernel,
     UndefinedSumError,
     archimedean_check,
     check_axioms,
@@ -24,6 +26,19 @@ from plauscalc.kernels import (
 @pytest.fixture(params=["rat", "eps", "bool"])
 def kernel(request):
     return get_kernel(request.param)
+
+
+# One value outside each kernel's domain.
+OUTSIDE = {"rat": Fr(2), "eps": const(2), "bool": 2}
+
+
+class _LeakyKernel(RatKernel):
+    """rat kernel whose sampler leaves the domain."""
+
+    name = "leaky"
+
+    def sample(self, rng):
+        return Fr(2)
 
 
 class TestOperations:
@@ -70,6 +85,79 @@ class TestOperations:
         values = near + [eps_kernel.sample(rng) + (EPS - EPS * EPS) * rng.randint(-2, 2) for _ in range(200)]
         for x in values:
             assert eps_kernel.contains(x) == (x.sign() >= 0 and (ONE - x).sign() >= 0), x
+
+
+class TestClosure:
+    """The domain is closed under the unchecked operations.
+
+    Library code checks a value once where it enters and then works on
+    ``_f``/``_s``/``_g``; this invariant is what makes the skipped re-checks
+    safe.
+    """
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_unchecked_results_stay_in_domain(self, name):
+        k = KERNELS[name]
+        rng = random.Random(13)
+        values = [k.bottom, k.top] + [k.sample(rng) for _ in range(60)]
+        for x in values:
+            assert k.contains(x), x
+            assert k.contains(k._s(x)), x
+        for x, y in zip(values, values[2:] + values[:2]):
+            assert k.contains(k._f(x, y)), (x, y)
+            if k._g_defined(x, y):
+                assert k.contains(k._g(x, y)), (x, y)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_private_forms_agree_with_public(self, name):
+        k = KERNELS[name]
+        rng = random.Random(14)
+        for _ in range(60):
+            x, y = k.sample(rng), k.sample(rng)
+            assert k._g_defined(x, y) == k.g_defined(x, y)
+            if k._g_defined(x, y):
+                assert k.eq(k._g_sum(x, y), k.G(x, y))
+            else:
+                with pytest.raises(UndefinedSumError) as public:
+                    k.G(x, y)
+                with pytest.raises(UndefinedSumError) as private:
+                    k._g_sum(x, y)
+                assert str(private.value) == str(public.value)
+
+
+class TestBoundaryChecks:
+    """Values are checked where they enter the library."""
+
+    def test_public_operations_reject(self, kernel):
+        bad, ok = OUTSIDE[kernel.name], kernel.top
+        for call in (
+            lambda: kernel.F(bad, ok),
+            lambda: kernel.F(ok, bad),
+            lambda: kernel.S(bad),
+            lambda: kernel.G(bad, kernel.bottom),
+            lambda: kernel.G(kernel.bottom, bad),
+            lambda: kernel.g_defined(bad, ok),
+            lambda: kernel.g_defined(ok, bad),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_archimedean_rejects(self, kernel):
+        with pytest.raises(DomainError):
+            archimedean_check(kernel, OUTSIDE[kernel.name], 8)
+
+    @pytest.mark.parametrize("name", ["rat", "eps"])
+    def test_separability_rejects_each_argument(self, name):
+        k = get_kernel(name)
+        x, y, c = (k.coerce(Fr(n, 8)) for n in (1, 4, 2))
+        bad = OUTSIDE[name]
+        for args in ((bad, y, c), (x, bad, c), (x, y, bad)):
+            with pytest.raises(DomainError):
+                separability_check(k, *args, 8)
+
+    def test_check_axioms_rejects_samples_outside_domain(self):
+        with pytest.raises(DomainError):
+            check_axioms(_LeakyKernel(), samples=3)
 
 
 class TestAxiomChecker:

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from plauscalc.epsnum import EPS, ONE
+from plauscalc.epsnum import EPS, ONE, const
 from plauscalc.kernels import get_kernel
 from plauscalc.refinement import (
     ExclusivityError,
@@ -63,6 +63,32 @@ class TestRefineExclusivePair:
     def test_propositional_limit(self, bool_kernel):
         m = Model(bool_kernel).refine_exclusive_pair("ROOT", True, False, names=("C", "C2"))
         assert m.exclusive_disjunction("C", "C2") is True
+
+
+class TestBoundaryChecks:
+    """Values are checked where they enter a model; queries trust them."""
+
+    OUTSIDE = {"rat": Fr(2), "eps": const(2), "bool": 2}
+
+    def test_refine_subcase_rejects(self, kernel):
+        with pytest.raises(RefinementError, match="is not a"):
+            Model(kernel).refine_subcase("ROOT", "A", self.OUTSIDE[kernel.name])
+
+    def test_refine_exclusive_pair_rejects_either_value(self, kernel):
+        bad = self.OUTSIDE[kernel.name]
+        for x, y in ((bad, kernel.bottom), (kernel.bottom, bad)):
+            with pytest.raises(RefinementError, match="outside the kernel domain"):
+                Model(kernel).refine_exclusive_pair("ROOT", x, y)
+
+    def test_undefined_sum_message_kept(self):
+        # with S(x) = (1 - x)^2, x <= S(y) does not imply y <= S(x)
+        k = get_kernel("broken-s")
+        m = Model(k).refine_exclusive_pair("ROOT", Fr(11, 20), Fr(1, 4), names=("A", "B"))
+        assert m.exclusive_disjunction("A", "B") == Fr(4, 5)
+        with pytest.raises(
+            ScenarioUndefinedError, match=r"^scenario undefined: undefined sum: 1/4 exceeds S\(11/20\)$"
+        ):
+            m.exclusive_disjunction("B", "A")
 
 
 class TestRefinementMonotonicity:

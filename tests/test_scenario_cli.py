@@ -3,6 +3,7 @@ contract: 0 success, 1 semantic finding, 2 usage/parse/validation error."""
 
 import json
 import re
+import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -143,6 +144,29 @@ class TestCliExitCodes:
         assert dispatch(["order", text, "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: syntax error at position ") and err.count("\n") == 1
+
+    def test_result_past_digit_limit_is_one_line_usage_error(self, capsys, tmp_path):
+        # parses within the limits, but its 4,600-digit integers cannot be printed
+        big = "1/99999999999999999999999^200"
+        doc = {
+            "frame": ["a", "b"],
+            "credals": [{"name": "c", "dists": [{"a": big, "b": f"1 - {big}"}]}],
+            "queries": [{"op": "envelopes", "credal": "c", "event": ["a"]}],
+        }
+        expected = (
+            "error: result too large to print: an integer has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits\n"
+        )
+        for argv in (
+            ["scenario-law", "--kernel", "eps", "--law", "comm_F", big, "1/2"],
+            ["scenario-law", "--kernel", "rat", "--law", "comm_F", big, "1/2"],
+            ["scenario", "run", write_scenario(tmp_path, doc)],
+        ):
+            assert dispatch(argv) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", expected)
+        assert dispatch(["order", big, "1"]) == 0
+        assert capsys.readouterr().out == "LT\n"
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert dispatch(["order"]) == 2
