@@ -18,7 +18,7 @@ from .evidence import SelectionBudgetError, TotalConflictError, run_gelman
 from .kernels import DomainError, UndefinedSumError, check_axioms, get_kernel
 from .parser import parse_eps_expr
 from .refinement import TWO_PATH_LAWS, ScenarioUndefinedError, two_path_eval
-from .scenario import Query, load_scenario, run_query, run_queries
+from .scenario import Query, load_scenario, order_verdict, run_query, run_queries
 
 __all__ = ["dispatch", "main"]
 
@@ -126,9 +126,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "order":
-        left = parse_eps_expr(args.left)
-        right = parse_eps_expr(args.right)
-        print({-1: "LT", 0: "EQ", 1: "GT"}[left.compare(right)])
+        print(order_verdict(args.left, args.right))
         return 0
 
     if args.command == "scenario-law":
@@ -169,3 +167,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

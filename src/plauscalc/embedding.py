@@ -52,6 +52,9 @@ __all__ = [
 
 Value = Any
 
+# Candidate scaling units c, c^2, ..., c^UNIT_BUDGET tried by a sum.
+UNIT_BUDGET = 64
+
 
 class UnitSearchError(RuntimeError):
     """No scaling unit within the power budget kept a sum defined."""
@@ -138,9 +141,8 @@ class FieldElem:
 class Embedding:
     """The ordered field constructed over one kernel."""
 
-    def __init__(self, kernel: Kernel, unit_budget: int = 64):
+    def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.unit_budget = unit_budget
         self._units: list[Value] = []
         k = kernel
         self.frac_zero = Frac(k.bottom, k.top)
@@ -219,7 +221,7 @@ class Embedding:
         if unit is not None:
             k._require(unit)
         candidates = (
-            [unit] if unit is not None else (self._unit(i) for i in range(self.unit_budget))
+            [unit] if unit is not None else (self._unit(i) for i in range(UNIT_BUDGET))
         )
         for e in candidates:
             if e is None:

@@ -43,7 +43,8 @@ class TotalConflictError(ValueError):
 
 
 class SelectionBudgetError(ValueError):
-    """Credal translation would enumerate too many selection functions."""
+    """Credal translation would enumerate too many selection functions, or a
+    combination of credal sets could have too many members."""
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,12 @@ Grammar (whitespace insensitive)::
 
 ``^`` binds tighter than ``*`` and ``/``; exponents are nonnegative integer
 literals.  All arithmetic is exact, so ``1/2`` parsed as a division and as a
-rational literal denote the same value.  Parsing yields the canonical
-:class:`~plauscalc.epsnum.EpsRational` of the expression.
+rational literal denote the same value.  The rules evaluate as they parse, so
+parsing yields the canonical :class:`~plauscalc.epsnum.EpsRational` of the
+expression directly; no expression tree is built.  A syntax error anywhere in
+the input wins over a division by zero: the first division by zero is kept,
+the quotient counts as zero, and the error is raised only once the whole
+input has parsed.
 
 Three limits keep the time and memory of a parse bounded for any input; a
 violation is an :class:`EpsSyntaxError` like any other:
@@ -20,28 +24,22 @@ violation is an :class:`EpsSyntaxError` like any other:
 * ``MAX_DEPTH`` levels of nested parentheses and unary minus signs;
 * ``MAX_SIZE`` for the *size* of an expression: the number of literals and
   ``eps`` symbols it has once every power ``x^n`` is written out as ``n``
-  copies of ``x`` (one copy for ``x^0``).  The size bounds the degree of every intermediate value
-  and the growth of its coefficients, and with it the exponents: ``eps^n``
-  has size ``n``.
+  copies of ``x`` (one copy for ``x^0``).  The size bounds the degree of
+  every intermediate value and the growth of its coefficients, and with it
+  the exponents: ``eps^n`` has size ``n``.  Each size is checked before the
+  operation it bounds is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .epsnum import EPS, EpsRational, const
+from .epsnum import EPS, ZERO, EpsRational, const
 
 __all__ = [
     "EpsSyntaxError",
     "parse_eps_expr",
-    "parse_ast",
-    "Num",
-    "Var",
-    "BinOp",
-    "Power",
-    "Negate",
     "MAX_TOKENS",
     "MAX_DEPTH",
     "MAX_SIZE",
@@ -58,40 +56,6 @@ class EpsSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"syntax error at position {position}: {message}")
         self.position = position
-
-
-# -- expression tree ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    pass  # the infinitesimal symbol
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Negate:
-    operand: "Node"
-
-
-Node = Union[Num, Var, BinOp, Power, Negate]
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -145,12 +109,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Each rule returns the parsed node and its size (see ``MAX_SIZE``)."""
+    """Each rule returns the value it parsed and its size (see ``MAX_SIZE``)."""
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
         self.depth = 0
+        self.zero_division: Optional[ZeroDivisionError] = None
 
     @property
     def token(self) -> _Token:
@@ -174,46 +139,58 @@ class _Parser:
             raise EpsSyntaxError(f"expected {op!r}", t.pos)
         self.advance()
 
-    def parse(self) -> Node:
-        node, _ = self.expr()
+    def parse(self) -> EpsRational:
+        value, _ = self.expr()
         t = self.token
         if t.kind != "end":
             raise EpsSyntaxError(f"unexpected {t.text!r}", t.pos)
-        return node
+        if self.zero_division is not None:
+            raise self.zero_division
+        return value
 
-    def expr(self) -> tuple[Node, int]:
-        node, size = self.term()
+    def expr(self) -> tuple[EpsRational, int]:
+        value, size = self.term()
         while True:
             t = self.token
             op = self.accept_op("+", "-")
             if op is None:
-                return node, size
+                return value, size
             right, right_size = self.term()
-            node, size = BinOp(op, node, right), _checked_size(size + right_size, t)
+            size = _checked_size(size + right_size, t)
+            value = value + right if op == "+" else value - right
 
-    def term(self) -> tuple[Node, int]:
-        node, size = self.power()
+    def term(self) -> tuple[EpsRational, int]:
+        value, size = self.power()
         while True:
             t = self.token
             op = self.accept_op("*", "/")
             if op is None:
-                return node, size
+                return value, size
             right, right_size = self.power()
-            node, size = BinOp(op, node, right), _checked_size(size + right_size, t)
+            size = _checked_size(size + right_size, t)
+            if op == "*":
+                value = value * right
+                continue
+            try:
+                value = value / right
+            except ZeroDivisionError as exc:  # raised in parse(), after any syntax error
+                self.zero_division = self.zero_division or exc
+                value = ZERO
 
-    def power(self) -> tuple[Node, int]:
+    def power(self) -> tuple[EpsRational, int]:
         base, size = self.atom()
-        if self.accept_op("^"):
-            t = self.token
-            if t.kind != "int":
-                raise EpsSyntaxError("expected a nonnegative integer exponent", t.pos)
-            self.advance()
-            n = _int(t)
-            # x^0 still evaluates x, so it costs one copy of it.
-            return Power(base, n), _checked_size(max(n, 1) * size, t)
-        return base, size
+        if not self.accept_op("^"):
+            return base, size
+        t = self.token
+        if t.kind != "int":
+            raise EpsSyntaxError("expected a nonnegative integer exponent", t.pos)
+        self.advance()
+        n = _int(t)
+        # x^0 has evaluated x, so it costs one copy of it.
+        size = _checked_size(max(n, 1) * size, t)
+        return base ** n, size
 
-    def atom(self) -> tuple[Node, int]:
+    def atom(self) -> tuple[EpsRational, int]:
         t = self.token
         if t.kind == "op" and t.text in ("-", "("):
             self.depth += 1
@@ -221,19 +198,19 @@ class _Parser:
                 raise EpsSyntaxError(f"nested more than {MAX_DEPTH} deep", t.pos)
             self.advance()
             if t.text == "-":
-                node, size = self.atom()
-                node = Negate(node)
+                value, size = self.atom()
+                value = -value
             else:
-                node, size = self.expr()
+                value, size = self.expr()
                 self.expect_op(")")
             self.depth -= 1
-            return node, size
+            return value, size
         if t.kind == "int":
             self.advance()
-            return Num(Fraction(_int(t))), 1
+            return const(_int(t)), 1
         if t.kind == "eps":
             self.advance()
-            return Var(), 1
+            return EPS, 1
         raise EpsSyntaxError("expected a value", t.pos)
 
 
@@ -250,37 +227,10 @@ def _checked_size(size: int, at: _Token) -> int:
     return size
 
 
-def _evaluate(node: Node) -> EpsRational:
-    if isinstance(node, Num):
-        return const(node.value)
-    if isinstance(node, Var):
-        return EPS
-    if isinstance(node, Negate):
-        return -_evaluate(node.operand)
-    if isinstance(node, Power):
-        return _evaluate(node.base) ** node.exponent
-    if isinstance(node, BinOp):
-        left = _evaluate(node.left)
-        right = _evaluate(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def parse_ast(text: str) -> Node:
-    """Parse to the expression tree without evaluating."""
-    return _Parser(_tokenize(text)).parse()
-
-
 def parse_eps_expr(text: str) -> EpsRational:
     """Parse an eps-expression to its canonical exact value.
 
     Raises :class:`EpsSyntaxError` on malformed input and
     :class:`ZeroDivisionError` when the expression divides by zero.
     """
-    return _evaluate(parse_ast(text))
+    return _Parser(_tokenize(text)).parse()

@@ -29,6 +29,7 @@ own exception.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Callable, Iterable
@@ -45,7 +46,13 @@ from .credal import (
     more_plausible,
 )
 from .epsnum import exact_str
-from .evidence import MassFunction, bel_pl, dempster_combine, mass_to_credal
+from .evidence import (
+    MassFunction,
+    SelectionBudgetError,
+    bel_pl,
+    dempster_combine,
+    mass_to_credal,
+)
 from .parser import EpsSyntaxError, parse_eps_expr
 
 __all__ = [
@@ -53,12 +60,19 @@ __all__ = [
     "Query",
     "Scenario",
     "QUERY_OPS",
+    "MAX_COMBINED_MEMBERS",
     "check_query",
     "load_scenario",
+    "order_verdict",
     "parse_scenario",
     "run_queries",
     "run_query",
 ]
+
+
+# Bound on the product of the operands' member counts in `robust-combine` and
+# `laplace`, which bounds the members the combination can have.
+MAX_COMBINED_MEMBERS = 10_000
 
 
 class ScenarioError(ValueError):
@@ -244,10 +258,14 @@ def _members(head: str, c: CredalSet) -> list[str]:
     return [f"{head}: {len(c)} members"] + [f"  member {d}" for d in c.dists]
 
 
+def order_verdict(left: str, right: str) -> str:
+    """LT, EQ or GT as eps-expression ``left`` is below, equal to or above ``right``."""
+    verdict = parse_eps_expr(left).compare(parse_eps_expr(right))
+    return {-1: "LT", 0: "EQ", 1: "GT"}[verdict]
+
+
 def _order(s: Scenario, a: dict) -> list[str]:
-    left, right = parse_eps_expr(a["left"]), parse_eps_expr(a["right"])
-    verdict = {-1: "LT", 0: "EQ", 1: "GT"}[left.compare(right)]
-    return [f"order {a['left']} vs {a['right']}: {verdict}"]
+    return [f"order {a['left']} vs {a['right']}: {order_verdict(a['left'], a['right'])}"]
 
 
 def _bel_pl(s: Scenario, a: dict) -> list[str]:
@@ -260,8 +278,17 @@ def _dempster(s: Scenario, a: dict) -> list[str]:
     return [f"dempster {' (x) '.join(a['bodies'])} = {m}"]
 
 
+def _combine_all(credals: list[CredalSet]) -> CredalSet:
+    bound = math.prod(len(c) for c in credals)
+    if bound > MAX_COMBINED_MEMBERS:
+        raise SelectionBudgetError(
+            f"combination could have up to {bound} members, more than {MAX_COMBINED_MEMBERS}"
+        )
+    return reduce(combine_laplace, credals)
+
+
 def _robust_combine(s: Scenario, a: dict) -> list[str]:
-    c = reduce(combine_laplace, (mass_to_credal(s.bodies[name]) for name in a["bodies"]))
+    c = _combine_all([mass_to_credal(s.bodies[name]) for name in a["bodies"]])
     return _members(f"robust-combine {' (x) '.join(a['bodies'])}", c)
 
 
@@ -270,7 +297,7 @@ def _mass_to_credal(s: Scenario, a: dict) -> list[str]:
 
 
 def _laplace(s: Scenario, a: dict) -> list[str]:
-    c = reduce(combine_laplace, (s.credals[name] for name in a["credals"]))
+    c = _combine_all([s.credals[name] for name in a["credals"]])
     return _members(f"laplace {' (x) '.join(a['credals'])}", c)
 
 

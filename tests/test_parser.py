@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plauscalc.epsnum import EPS, ONE, ZERO, const
+from plauscalc.epsnum import EPS, ONE, ZERO, EpsRational, const
 from plauscalc.parser import MAX_DEPTH, MAX_SIZE, EpsSyntaxError, parse_eps_expr
 
 from conftest import rand_eps_rational
@@ -57,6 +57,17 @@ class TestErrors:
         with pytest.raises(ZeroDivisionError):
             parse_eps_expr("1/(1 - 1)")
 
+    @pytest.mark.parametrize("text, position", [("1/0)", 3), ("(1/0", 4), ("1/0 +", 5)])
+    def test_syntax_error_wins_over_division_by_zero(self, text, position):
+        with pytest.raises(EpsSyntaxError) as err:
+            parse_eps_expr(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", ["2/0/0", "1/0^2", "(1/0)^0", "-(1/0) + 1"])
+    def test_division_by_zero_survives_later_operations(self, text):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            parse_eps_expr(text)
+
 
 class TestRoundTrip:
     def test_random_values_round_trip(self):
@@ -81,22 +92,40 @@ class TestRoundTrip:
             assert parse_eps_expr(str(v)) == v
 
 
+# (input, words of the EpsSyntaxError it must raise)
+HOSTILE = [
+    ("(" * 3000 + "1" + ")" * 3000, "tokens"),  # was an uncaught RecursionError
+    ("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "deep"),
+    ("-" * (MAX_DEPTH + 1) + "1", "deep"),
+    ("(1+eps)^2000", "too large"),  # took seconds before any limit
+    (f"eps^{MAX_SIZE + 1}", "too large"),
+    ("((1+eps)^16)^16", "too large"),  # nested powers multiply
+    ("*".join(["(1+eps)^16"] * 9), "too large"),  # products add
+    ("(eps+eps+eps+eps)^0*" * 65 + "1", "too large"),  # x^0 still evaluates x
+    ("+".join(["((1))"] * 200), "tokens"),
+    ("1" * 5000, "literal too long"),  # longer than the interpreter converts
+    ("eps^" + "9" * 5000, "literal too long"),
+]
+
+
 class TestLimits:
-    @pytest.mark.parametrize("text, why", [
-        ("(" * 3000 + "1" + ")" * 3000, "tokens"),  # was an uncaught RecursionError
-        ("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "deep"),
-        ("-" * (MAX_DEPTH + 1) + "1", "deep"),
-        ("(1+eps)^2000", "too large"),  # took seconds before any limit
-        (f"eps^{MAX_SIZE + 1}", "too large"),
-        ("((1+eps)^16)^16", "too large"),  # nested powers multiply
-        ("*".join(["(1+eps)^16"] * 9), "too large"),  # products add
-        ("(eps+eps+eps+eps)^0*" * 65 + "1", "too large"),  # x^0 still evaluates x
-        ("+".join(["((1))"] * 200), "tokens"),
-        ("1" * 5000, "literal too long"),  # longer than the interpreter converts
-        ("eps^" + "9" * 5000, "literal too long"),
-    ])
+    @pytest.mark.parametrize("text, why", HOSTILE)
     def test_hostile_input_is_a_syntax_error(self, text, why):
         with pytest.raises(EpsSyntaxError, match=why):
+            parse_eps_expr(text)
+
+    @pytest.mark.parametrize(
+        "text", [text for text, _ in HOSTILE] + ["7^3354046", "eps^378030251/0"]
+    )
+    def test_size_is_checked_before_the_power(self, monkeypatch, text):
+        power = EpsRational.__pow__
+
+        def bounded_power(x, n):
+            assert n <= MAX_SIZE, f"computed a power {n} before checking its size"
+            return power(x, n)
+
+        monkeypatch.setattr(EpsRational, "__pow__", bounded_power)
+        with pytest.raises(EpsSyntaxError):
             parse_eps_expr(text)
 
     def test_limits_are_inclusive(self):

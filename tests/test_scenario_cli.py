@@ -2,15 +2,24 @@
 contract: 0 success, 1 semantic finding, 2 usage/parse/validation error."""
 
 import json
+import os
 import re
+import subprocess
 import sys
+import time
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
 
 from plauscalc.cli import dispatch
-from plauscalc.scenario import ScenarioError, load_scenario, parse_scenario, run_queries
+from plauscalc.scenario import (
+    MAX_COMBINED_MEMBERS,
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+    run_queries,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 GELMAN = REPO / "scenarios" / "gelman.json"
@@ -33,6 +42,14 @@ BASE = {
         {"name": "sliver", "dists": [{"a": "1 - eps", "b": "eps"}]},
     ],
 }
+
+
+# Three focal sets on three atoms; its credal translation has 8 members.
+M1 = {"name": "m1", "masses": [
+    {"set": ["a", "b"], "mass": "1/3"},
+    {"set": ["a", "c"], "mass": "1/3"},
+    {"set": ["a", "b", "c"], "mass": "1/3"},
+]}
 
 
 class TestLoadScenario:
@@ -233,6 +250,33 @@ class TestCliExitCodes:
         assert "unknown credal set 'nope'" in capsys.readouterr().err
         assert dispatch(["credal", "envelopes", f, "--credal", "c1", "--event", "z"]) == 2
         assert "unknown atom 'z'" in capsys.readouterr().err
+
+    def test_combination_past_member_bound_is_one_line_finding(self, capsys, tmp_path):
+        doc = {"frame": ["a", "b", "c"], "bodies": [M1], "credals": BASE["credals"][:1],
+               "queries": [{"op": "robust-combine", "bodies": ["m1"] * 4}]}
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 0
+        head = "robust-combine m1 (x) m1 (x) m1 (x) m1: 2304 members\n"  # 8^4 = 4,096 pairs
+        assert capsys.readouterr().out.startswith(head)
+        for query, bound in (
+            ({"op": "robust-combine", "bodies": ["m1"] * 6}, 8 ** 6),  # 75,720 members unbounded
+            ({"op": "laplace", "credals": ["c1"] * 14}, 2 ** 14),
+        ):
+            doc["queries"] = [query]
+            start = time.perf_counter()
+            assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 1
+            assert time.perf_counter() - start < 1
+            assert capsys.readouterr() == ("", (
+                f"finding: combination could have up to {bound} members,"
+                f" more than {MAX_COMBINED_MEMBERS}\n"
+            ))
+
+    def test_module_entry_point(self):
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "plauscalc.cli", "order", "eps", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, "LT\n", "")
 
     def test_validation_error_is_exit_2(self, capsys, tmp_path):
         f = write_scenario(tmp_path, {"frame": ["a"], "bodies": [
