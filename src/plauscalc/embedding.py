@@ -11,11 +11,13 @@ using only F, G, S and the order:
 3. :class:`FieldElem` -- quotients of differences, the field of fractions of
    that domain.
 
-Addition at the quotient level multiplies both operands by a small scaling
-unit first so the kernel sum stays inside G's domain; units are powers of
-``c = min(e, S(e))`` for a nontrivial element ``e``, searched smallest power
-first.  Equality and order are decided by reduction to kernel equality and
-order, so every layer inherits decidability from the kernel.
+Addition at the quotient level multiplies both operands by one scaling unit,
+``c = min(e, S(e))`` for a nontrivial element ``e`` (``top`` on the trivial
+kernel), so the kernel sum stays inside G's domain.  One unit suffices: both
+scaled terms are at most ``c``, and ``c <= S(c)`` (see
+:meth:`Embedding.frac_add`).  Equality and order are decided by reduction to
+kernel equality and order, so every layer inherits decidability from the
+kernel.
 
 A kernel value ``d`` embeds as ``(d - 0) / (1 - 0)``; the embedding sends
 bottom to 0, top to 1, F to multiplication and G (where defined) to addition.
@@ -24,7 +26,7 @@ any failure.
 
 Kernel values are checked once, where they enter: :meth:`Embedding.frac`,
 :meth:`Embedding.embed`, an explicit ``unit`` given to
-:meth:`Embedding.frac_add`, and ``S(e)`` in :meth:`Embedding.base_unit`.  The
+:meth:`Embedding.frac_add`, and ``S(e)`` in :attr:`Embedding.unit`.  The
 contents of a :class:`Frac`, :class:`Diff` or :class:`FieldElem` built by
 those factories or by the tower operations are trusted, and the operations
 run on the kernel's unchecked ``_f``, ``_g`` and ``_g_defined``.  A ``Frac``
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional
 
 from .kernels import AxiomCheck, Kernel, TrivialKernelError
@@ -52,12 +55,13 @@ __all__ = [
 
 Value = Any
 
-# Candidate scaling units c, c^2, ..., c^UNIT_BUDGET tried by a sum.
-UNIT_BUDGET = 64
-
 
 class UnitSearchError(RuntimeError):
-    """No scaling unit within the power budget kept a sum defined."""
+    """The scaling unit did not keep a sum defined.
+
+    With the default unit this happens only on the trivial kernel (1 + 1), or
+    on a kernel that breaks a law the proof in :meth:`Embedding.frac_add` uses.
+    """
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,6 @@ class Embedding:
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self._units: list[Value] = []
         k = kernel
         self.frac_zero = Frac(k.bottom, k.top)
         self.frac_one = Frac(k.top, k.top)
@@ -152,43 +155,18 @@ class Embedding:
         self.zero = FieldElem(self.diff_zero, self.diff_one, self)
         self.one = FieldElem(self.diff_one, self.diff_one, self)
 
-    # -- scaling units ---------------------------------------------------------
+    # -- scaling unit ---------------------------------------------------------
 
-    def base_unit(self) -> Value:
-        """c = min(e, S(e)) for the kernel's nontrivial element e."""
+    @cached_property
+    def unit(self) -> Value:
+        """c = min(e, S(e)) for the kernel's nontrivial element e; top if none."""
         k = self.kernel
-        e = k.nontrivial_element()  # raises TrivialKernelError if none
+        try:
+            e = k.nontrivial_element()
+        except TrivialKernelError:
+            return k.top
         se = k.S(e)
         return e if k.leq(e, se) else se
-
-    def _unit(self, i: int) -> Optional[Value]:
-        """i-th candidate unit: c^(i+1); the trivial kernel only offers top."""
-        k = self.kernel
-        if not self._units:
-            try:
-                self._units.append(self.base_unit())
-            except TrivialKernelError:
-                self._units.append(k.top)
-        if k.eq(self._units[0], k.top):
-            return k.top if i == 0 else None
-        while len(self._units) <= i:
-            self._units.append(k._f(self._units[-1], self._units[0]))
-        return self._units[i]
-
-    def choose_unit(self, n: int) -> Value:
-        """A unit small enough that any n-fold scaled sum stays defined.
-
-        Returns c^ceil(log2 n), with the convention that n = 1 still returns
-        c itself so every summation path scales uniformly.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        c = self.base_unit()
-        exponent = max(1, (n - 1).bit_length())
-        out = c
-        for _ in range(exponent - 1):
-            out = self.kernel._f(out, c)
-        return out
 
     # -- quotient layer -----------------------------------------------------------
 
@@ -212,25 +190,29 @@ class Embedding:
         return Frac(k._f(x.a, y.a), k._f(x.b, y.b))
 
     def frac_add(self, x: Frac, y: Frac, unit: Optional[Value] = None) -> Frac:
-        """[a,b] + [c,d] = [e.a.d + e.c.b, e.b.d] for a unit e keeping G defined.
+        """[a,b] + [p,q] = [u.a.q + u.p.b, u.b.q] for a unit u keeping G defined.
 
-        With ``unit`` given, that scaling is used or an error raised; otherwise
-        candidate units are tried smallest power first.
+        The default unit is :attr:`unit`, c = min(e, S(e)), and with it G is
+        always defined on a kernel whose laws hold.  Both scaled terms
+        t1 = F(c, F(a, q)) and t2 = F(c, F(p, b)) are at most c, because F is
+        below the minimum of its arguments.  And c <= S(c): if c = e, then
+        e <= S(e); if c = S(e) <= e, then S(S(e)) >= S(e) because S is
+        antitone.  So S(t2) >= S(c) >= c >= t1, which is G's domain.
+
+        With ``unit`` given, that scaling is used instead.  If G is undefined
+        at the unit (on the trivial kernel, [1,1] + [1,1]), the sum raises
+        :class:`UnitSearchError`.
         """
         k = self.kernel
-        if unit is not None:
+        if unit is None:
+            unit = self.unit
+        else:
             k._require(unit)
-        candidates = (
-            [unit] if unit is not None else (self._unit(i) for i in range(UNIT_BUDGET))
-        )
-        for e in candidates:
-            if e is None:
-                break
-            t1 = k._f(e, k._f(x.a, y.b))
-            t2 = k._f(e, k._f(y.a, x.b))
-            if k._g_defined(t1, t2):
-                return Frac(k._g(t1, t2), k._f(e, k._f(x.b, y.b)))
-        raise UnitSearchError("summation unit exhausted")
+        t1 = k._f(unit, k._f(x.a, y.b))
+        t2 = k._f(unit, k._f(y.a, x.b))
+        if not k._g_defined(t1, t2):
+            raise UnitSearchError("summation unit exhausted")
+        return Frac(k._g(t1, t2), k._f(unit, k._f(x.b, y.b)))
 
     # -- difference layer -----------------------------------------------------------
 

@@ -301,16 +301,6 @@ class EpsPolynomial:
     def __mod__(self, other: "EpsPolynomial") -> "EpsPolynomial":
         return self.divmod(other)[1]
 
-    # -- normal forms ------------------------------------------------------
-
-    def monic(self) -> "EpsPolynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading_coeff
-        if lead == 1:
-            return self
-        return self.scale(Fraction(1, lead))
-
     def eval_at(self, t: Fraction) -> Fraction:
         """Exact evaluation by Horner's rule."""
         acc = _F0
@@ -363,27 +353,29 @@ _P_ONE = _poly((1,))
 
 
 def poly_gcd(a: EpsPolynomial, b: EpsPolynomial) -> EpsPolynomial:
-    """Monic gcd over the rationals.
+    """Primitive gcd over Z with a positive leading coefficient.
 
-    Computed as the primitive gcd over Z by a primitive remainder sequence,
-    then divided by its leading coefficient.
+    This is the gcd over the rationals scaled to integer coefficients with no
+    common factor, computed by a primitive remainder sequence; it is zero only
+    when both operands are.
     """
     if a.is_zero:
-        return b.monic()
+        a, b = b, a
+    if a.is_zero:
+        return a
     if b.is_zero:
-        return a.monic()
-    g = _prs_gcd(_primitive(a.coeffs), _primitive(b.coeffs))
-    return _poly(g).monic()
+        g = _primitive(a.coeffs)
+    else:
+        g = _prs_gcd(_primitive(a.coeffs), _primitive(b.coeffs))
+    return _poly(g if g[-1] > 0 else [-c for c in g])
 
 
 def _common_factor(a: Sequence[int], b: Sequence[int]):
     """Primitive gcd of two nonzero integer polynomials; None when it is constant."""
     if len(a) == 1 or len(b) == 1:
         return None
-    g = poly_gcd(_poly(a), _poly(b))
-    if len(g.coeffs) == 1:
-        return None
-    return _primitive(g.coeffs)
+    g = poly_gcd(_poly(a), _poly(b)).coeffs
+    return None if len(g) == 1 else g
 
 
 def positive_root_lower_bound(p: EpsPolynomial) -> Fraction:

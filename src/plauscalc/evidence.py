@@ -29,6 +29,7 @@ from .epsnum import ONE, ZERO, EpsRational, as_eps
 __all__ = [
     "TotalConflictError",
     "SelectionBudgetError",
+    "MAX_COMBINED_MEMBERS",
     "MassFunction",
     "dempster_combine",
     "bel_pl",
@@ -36,6 +37,11 @@ __all__ = [
     "GelmanReport",
     "run_gelman",
 ]
+
+
+# Bound on the selection functions a credal translation enumerates, and on the
+# product of the operands' member counts in a combination of credal sets.
+MAX_COMBINED_MEMBERS = 10_000
 
 
 class TotalConflictError(ValueError):
@@ -128,19 +134,21 @@ def bel_pl(m: MassFunction, event: SetLike) -> tuple[EpsRational, EpsRational]:
     return bel, pl
 
 
-def mass_to_credal(m: MassFunction, budget: int = 10**6) -> CredalSet:
+def mass_to_credal(m: MassFunction) -> CredalSet:
     """All distributions obtained by sending each focal mass to one of its atoms.
 
     One distribution per selection function, duplicates removed; these are the
     extreme points of the credal set the body of evidence describes, and their
-    envelopes reproduce belief and plausibility.
+    envelopes reproduce belief and plausibility.  Raises
+    :class:`SelectionBudgetError` above :data:`MAX_COMBINED_MEMBERS` selection
+    functions.
     """
     count = 1
     for mask, _ in m.focal:
         count *= bin(mask).count("1")
-        if count > budget:
+        if count > MAX_COMBINED_MEMBERS:
             raise SelectionBudgetError(
-                f"credal translation needs more than {budget} selection functions"
+                f"credal translation needs more than {MAX_COMBINED_MEMBERS} selection functions"
                 f" (at least {count})"
             )
     n = m.frame.size

@@ -249,7 +249,7 @@ class EpsKernel(Kernel):
 
     def nontrivial_element(self) -> EpsRational:
         # Any interior element generates the same embedding classes; a plain
-        # constant keeps unit searches cheap.
+        # constant keeps the scaling unit cheap to multiply by.
         return const(Fraction(1, 2))
 
     def sample(self, rng: random.Random) -> EpsRational:

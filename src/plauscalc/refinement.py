@@ -230,20 +230,14 @@ def _scenario_comm_f(k: Kernel, x: Value, y: Value) -> tuple[Value, Value]:
 
 def _scenario_comm_g(k: Kernel, x: Value, y: Value) -> tuple[Value, Value]:
     m = Model(k)
-    try:
-        m = m.refine_exclusive_pair(m.root, x, y, names=("A", "B"))
-    except ExclusivityError as exc:
-        raise ScenarioUndefinedError(f"scenario undefined: {exc}") from exc
+    m = m.refine_exclusive_pair(m.root, x, y, names=("A", "B"))
     return m.exclusive_disjunction("A", "B"), m.exclusive_disjunction("B", "A")
 
 
 def _scenario_assoc_g(k: Kernel, x: Value, y: Value, z: Value) -> tuple[Value, Value]:
     # Each sum materializes as an exclusive pair whose disjunction carries it.
     def gsum(u: Value, v: Value, tag: str, m: Model) -> tuple[Value, Model]:
-        try:
-            m = m.refine_exclusive_pair(m.root, u, v, names=(f"{tag}.l", f"{tag}.r"))
-        except ExclusivityError as exc:
-            raise ScenarioUndefinedError(f"scenario undefined: {exc}") from exc
+        m = m.refine_exclusive_pair(m.root, u, v, names=(f"{tag}.l", f"{tag}.r"))
         return m.exclusive_disjunction(f"{tag}.l", f"{tag}.r"), m
 
     m = Model(k)
@@ -258,20 +252,13 @@ def _scenario_distrib(k: Kernel, x: Value, y: Value, z: Value) -> tuple[Value, V
     # A, B exclusive under the root; C independent of both.  The target is
     # (A or B) and C given the root, expanded before or after distribution.
     m = Model(k)
-    try:
-        m = m.refine_exclusive_pair(m.root, x, y, names=("A", "B"))
-    except ExclusivityError as exc:
-        raise ScenarioUndefinedError(f"scenario undefined: {exc}") from exc
+    m = m.refine_exclusive_pair(m.root, x, y, names=("A", "B"))
     m = m.refine_subcase(m.root, "C", z, independent_of=("A", "B"))
     union = m.exclusive_disjunction("A", "B")
     left = k._f(union, m.conditional("C"))
     ac = k._f(m.conditional("A", also_given=("C",)), m.conditional("C"))
     bc = k._f(m.conditional("B", also_given=("C",)), m.conditional("C"))
-    try:
-        right = k._g_sum(ac, bc)
-    except UndefinedSumError as exc:
-        raise ScenarioUndefinedError(f"scenario undefined: {exc}") from exc
-    return left, right
+    return left, k._g_sum(ac, bc)
 
 
 _SCENARIOS = {
@@ -290,7 +277,7 @@ def two_path_eval(kernel: Kernel, law: str, values: Sequence[Value]) -> tuple[Va
 
     Returns the pair of results; they agree on any kernel satisfying the
     checked axioms.  Raises :class:`ScenarioUndefinedError` when a required
-    sum leaves G's domain.
+    sum leaves G's domain or a required exclusive pair is impossible.
     """
     try:
         build, arity = _SCENARIOS[law]
@@ -298,4 +285,7 @@ def two_path_eval(kernel: Kernel, law: str, values: Sequence[Value]) -> tuple[Va
         raise ValueError(f"unknown law {law!r}; choose from {TWO_PATH_LAWS}") from None
     if len(values) != arity:
         raise ValueError(f"law {law} takes {arity} values, got {len(values)}")
-    return build(kernel, *values)
+    try:
+        return build(kernel, *values)
+    except (ExclusivityError, UndefinedSumError) as exc:
+        raise ScenarioUndefinedError(f"scenario undefined: {exc}") from exc

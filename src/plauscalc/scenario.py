@@ -47,6 +47,7 @@ from .credal import (
 )
 from .epsnum import exact_str
 from .evidence import (
+    MAX_COMBINED_MEMBERS,
     MassFunction,
     SelectionBudgetError,
     bel_pl,
@@ -68,11 +69,6 @@ __all__ = [
     "run_queries",
     "run_query",
 ]
-
-
-# Bound on the product of the operands' member counts in `robust-combine` and
-# `laplace`, which bounds the members the combination can have.
-MAX_COMBINED_MEMBERS = 10_000
 
 
 class ScenarioError(ValueError):
@@ -288,7 +284,8 @@ def _combine_all(credals: list[CredalSet]) -> CredalSet:
 
 
 def _robust_combine(s: Scenario, a: dict) -> list[str]:
-    c = _combine_all([mass_to_credal(s.bodies[name]) for name in a["bodies"]])
+    credal = {name: mass_to_credal(s.bodies[name]) for name in dict.fromkeys(a["bodies"])}
+    c = _combine_all([credal[name] for name in a["bodies"]])
     return _members(f"robust-combine {' (x) '.join(a['bodies'])}", c)
 
 

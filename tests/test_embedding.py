@@ -20,7 +20,13 @@ from plauscalc.embedding import (
     verify_embedding,
 )
 from plauscalc.epsnum import EPS, ONE, ZERO, const
-from plauscalc.kernels import DomainError, RatKernel, TrivialKernelError, get_kernel
+from plauscalc.kernels import (
+    KERNELS,
+    DomainError,
+    RatKernel,
+    TrivialKernelError,
+    get_kernel,
+)
 
 
 class _RatKernelE23(RatKernel):
@@ -55,29 +61,50 @@ def _eps_div(a, b):
     return a / b
 
 
-class TestChooseUnit:
-    def test_two_terms(self):
-        assert Embedding(_RatKernelE23()).choose_unit(2) == Fr(1, 3)
+def _has_nontrivial_element(k):
+    try:
+        k.nontrivial_element()
+    except TrivialKernelError:
+        return False
+    return True
 
-    def test_four_terms(self):
-        assert Embedding(_RatKernelE23()).choose_unit(4) == Fr(1, 9)
 
-    def test_one_term_still_scales(self):
-        assert Embedding(_RatKernelE23()).choose_unit(1) == Fr(1, 3)
+# Every registered kernel with an interior element, plus one whose unit is
+# S(e) rather than e; the trivial kernel is covered by TestScalingUnit below.
+_UNIT_KERNELS = [k for k in KERNELS.values() if _has_nontrivial_element(k)] + [_RatKernelE23()]
 
-    def test_trivial_kernel(self, bool_kernel):
-        with pytest.raises(TrivialKernelError, match="trivial kernel"):
-            Embedding(bool_kernel).choose_unit(2)
 
-    def test_scaled_sums_stay_defined(self, rat_kernel):
-        rng = random.Random(2)
-        for n in (2, 3, 4, 7):
-            c = Embedding(rat_kernel).choose_unit(n)
-            for _ in range(20):
-                vals = [rat_kernel.sample(rng) for _ in range(n)]
-                acc = rat_kernel.F(c, vals[0])
-                for v in vals[1:]:
-                    acc = rat_kernel.G(acc, rat_kernel.F(c, v))  # must not raise
+class TestScalingUnit:
+    @pytest.mark.parametrize("k", _UNIT_KERNELS, ids=lambda k: type(k).__name__ + ":" + k.name)
+    def test_default_unit_keeps_every_sum_defined(self, k):
+        emb = Embedding(k)
+        assert k.leq(emb.unit, k.S(emb.unit))
+        rng = random.Random(12)
+
+        def entry():
+            return k.top if rng.random() < 0.2 else k.sample(rng)
+
+        def frac():
+            b = entry()
+            while k.eq(b, k.bottom):
+                b = entry()
+            return emb.frac(entry(), b)
+
+        for _ in range(40):
+            emb.frac_add(frac(), frac())  # must not raise
+        emb.frac_add(emb.frac_one, emb.frac_one)
+
+    def test_unit_is_min_of_e_and_its_complement(self, rat_kernel):
+        assert Embedding(rat_kernel).unit == Fr(1, 2)
+        assert Embedding(_RatKernelE23()).unit == Fr(1, 3)
+
+    def test_trivial_kernel_unit_is_top(self, bool_kernel):
+        assert Embedding(bool_kernel).unit is True
+
+    def test_trivial_kernel_one_plus_one_is_undefined(self, bool_kernel):
+        emb = Embedding(bool_kernel)
+        with pytest.raises(UnitSearchError, match="summation unit exhausted"):
+            emb.frac_add(emb.frac_one, emb.frac_one)
 
 
 class TestFracLayer:

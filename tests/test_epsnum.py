@@ -6,6 +6,7 @@ bound of the difference.  That oracle never looks at how ``compare`` itself
 decides.
 """
 
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -275,7 +276,8 @@ class TestPolyGcd:
             b = rand_poly(rng, 3, bound=8, nonzero=True)
             g = rand_poly(rng, 2, bound=8, nonzero=True)
             gg = poly_gcd(a * g, b * g)
-            assert gg.leading_coeff == 1
+            assert gg.leading_coeff > 0
+            assert math.gcd(*gg.coeffs) == 1
             assert (a * g) % gg == EpsPolynomial(())
             assert (b * g) % gg == EpsPolynomial(())
             # g divides the gcd of the padded pair
@@ -283,8 +285,8 @@ class TestPolyGcd:
 
     def test_content_above_one(self):
         # 6 + 12 eps = 6 (1 + 2 eps) and 4 + 8 eps = 4 (1 + 2 eps)
-        assert poly_gcd(P(6, 12), P(4, 8)) == P(Fr(1, 2), 1)
-        assert poly_gcd(P(0, 6, 12), P(0, 0, 4, 8)) == P(0, Fr(1, 2), 1)
+        assert poly_gcd(P(6, 12), P(4, 8)) == P(1, 2)
+        assert poly_gcd(P(0, 6, 12), P(0, 0, 4, 8)) == P(0, 1, 2)
 
     def test_negative_leading_coefficients(self):
         # (1 - eps) and (1 - eps^2) = (1 - eps)(1 + eps)
@@ -298,7 +300,7 @@ class TestPolyGcd:
 
     def test_equal_operands(self):
         p = P(-4, 6, 2)
-        assert poly_gcd(p, p) == p.monic() == P(-2, 3, 1)
+        assert poly_gcd(p, p) == P(-2, 3, 1)
 
     def test_zero(self):
         assert poly_gcd(P(), P(0, 2)) == P(0, 1)

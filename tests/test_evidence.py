@@ -15,6 +15,7 @@ import pytest
 from plauscalc.credal import combine_laplace, envelopes
 from plauscalc.epsnum import EPS, ONE, ZERO, const
 from plauscalc.evidence import (
+    MAX_COMBINED_MEMBERS,
     Frame,
     MassFunction,
     SelectionBudgetError,
@@ -185,10 +186,16 @@ class TestMassToCredal:
         assert len(mass_to_credal(m)) == 4
 
     def test_budget(self):
-        frame = Frame(tuple("abcdefghij"))
-        m = MassFunction.vacuous(frame)
-        with pytest.raises(SelectionBudgetError):
-            mass_to_credal(m, budget=9)
+        # the 11 focal sets of two or more atoms on four atoms:
+        # 2^6 * 3^4 * 4 = 20,736 selection functions
+        frame = Frame(tuple("abcd"))
+        masks = [s for s in range(16) if bin(s).count("1") >= 2]
+        m = MassFunction(frame, {s: Fr(1, len(masks)) for s in masks})
+        with pytest.raises(SelectionBudgetError, match=(
+            f"credal translation needs more than {MAX_COMBINED_MEMBERS} selection functions"
+            r" \(at least 20736\)"
+        )):
+            mass_to_credal(m)
 
     def test_envelopes_match_bel_pl_on_singletons(self):
         rng = random.Random(6)

@@ -24,6 +24,7 @@ CASES = {
     "check-axioms-eps": ["check-axioms", "--kernel", "eps", "--samples", "40"],
     "embed-rat": ["embed", "--kernel", "rat", "--samples", "200"],
     "embed-eps": ["embed", "--kernel", "eps", "--samples", "8"],
+    "embed-bool": ["embed", "--kernel", "bool"],
     "gelman": ["gelman"],
     "scenario-run-gelman": ["scenario", "run", GELMAN],
     "scenario-run-ops": ["scenario", "run", OPS],

@@ -1,6 +1,7 @@
 """Scenario files and the command-line surface, including the exit-code
 contract: 0 success, 1 semantic finding, 2 usage/parse/validation error."""
 
+import itertools
 import json
 import os
 import re
@@ -269,6 +270,36 @@ class TestCliExitCodes:
                 f"finding: combination could have up to {bound} members,"
                 f" more than {MAX_COMBINED_MEMBERS}\n"
             ))
+
+    @staticmethod
+    def _heavy_body(focal_sets):
+        # three-atom focal sets on six atoms: 3^focal_sets selection functions
+        sets = list(itertools.combinations("abcdef", 3))[:focal_sets]
+        return {"name": "h", "masses": [{"set": list(s), "mass": f"1/{focal_sets}"} for s in sets]}
+
+    def test_credal_translation_past_bound_is_one_line_finding(self, capsys, tmp_path):
+        doc = {"frame": list("abcdef"), "bodies": [self._heavy_body(12)],
+               "queries": [{"op": "mass-to-credal", "body": "h"}]}
+        start = time.perf_counter()
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            f"finding: credal translation needs more than {MAX_COMBINED_MEMBERS}"
+            " selection functions (at least 19683)\n"
+        ))
+
+    def test_robust_combine_translates_each_body_once(self, capsys, tmp_path):
+        doc = {"frame": list("abcdef"), "bodies": [self._heavy_body(8)],
+               "queries": [{"op": "robust-combine", "bodies": ["h"] * 200}]}
+        start = time.perf_counter()
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 1
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            rf"finding: combination could have up to \d+ members, more than {MAX_COMBINED_MEMBERS}\n",
+            err,
+        )
 
     def test_module_entry_point(self):
         path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
