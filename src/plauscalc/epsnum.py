@@ -21,6 +21,9 @@ Arithmetic on canonical values runs on ``int`` only:
 * sums use Henrici's method (Knuth, TAOCP vol. 2, section 4.5.1) lifted to
   polynomials: when the denominators are coprime the cross sum is already in
   lowest terms, so no gcd of the result is needed;
+* coprimality is first proven at one integer point: a gcd of the two
+  values below a bound rules out every common factor, and the remainder
+  sequence runs only when that test does not decide;
 * constant operands use plain integer gcds.
 
 :class:`EpsPolynomial` also takes rational (``Fraction``) coefficients;
@@ -144,7 +147,10 @@ def _lowest(a: Sequence):
 def _primitive(cs: Sequence) -> list[int]:
     """The integer polynomial with gcd 1 that is a positive multiple of ``cs``."""
     l = math.lcm(*[c.denominator for c in cs])
-    ints = [c.numerator * (l // c.denominator) for c in cs]
+    if l == 1:
+        ints = [c.numerator for c in cs]
+    else:
+        ints = [c.numerator * (l // c.denominator) for c in cs]
     g = math.gcd(*ints)
     return ints if g == 1 else [c // g for c in ints]
 
@@ -172,10 +178,45 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _trim(r)
 
 
+def _coprime_at_point(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True only if the nonconstant integer polynomials ``a`` and ``b`` are coprime.
+
+    Let B = 1 + min(max|a_i|, max|b_i|).  Both are evaluated at the power of
+    two xi = 2**k, k = B.bit_length() + 32, and the integer gcd h of the two
+    values is compared with xi - B.  The 32 spare bits leave room for the
+    small factor that the values of coprime polynomials may still share.
+    (This is the evaluation step of the heuristic gcd of Char, Geddes and
+    Gonnet, J. Symbolic Comput. 1989.)
+
+    Proof that True is exact.  Say g is a nonconstant common divisor of a and
+    b over Z (primitive, by Gauss's lemma).  Each root r of g is a root of a
+    and of b, so |r| <= B by Cauchy's bound (leading coefficients are nonzero
+    integers).  Then |g(xi)| >= prod(xi - |r_i|) >= xi - B >= 1.  Also g(xi)
+    divides both a(xi) and b(xi), which are not both zero since xi > B, so
+    h >= |g(xi)| >= xi - B.  So h < xi - B rules g out.
+
+    False means only that this point does not decide.
+    """
+    bound = 1 + min(max(map(abs, a)), max(map(abs, b)))
+    k = bound.bit_length() + 32
+    va = vb = 0
+    for c in reversed(a):
+        va = (va << k) + c
+    for c in reversed(b):
+        vb = (vb << k) + c
+    return math.gcd(va, vb) < (1 << k) - bound
+
+
 def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    """Primitive gcd, up to sign, of two primitive polynomials."""
+    """Primitive gcd, up to sign, of two primitive polynomials.
+
+    A coprimality certificate at one integer point settles most coprime pairs;
+    the remainder sequence runs only when it does not.
+    """
     if len(a) < len(b):
         a, b = b, a
+    if len(b) > 1 and _coprime_at_point(a, b):
+        return [1]
     while len(b) > 1:
         r = _prem(a, b)
         if not r:
@@ -263,20 +304,23 @@ class EpsPolynomial:
 
     # -- ring operations ---------------------------------------------------
 
+    # Sums, products and quotients of Fractions may be integral: the public
+    # constructor turns those coefficients back into ``int``.
+
     def __add__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        return _poly(_padd(self.coeffs, other.coeffs))
+        return EpsPolynomial(_padd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        return _poly(_padd(self.coeffs, _pneg(other.coeffs)))
+        return EpsPolynomial(_padd(self.coeffs, _pneg(other.coeffs)))
 
     def __neg__(self) -> "EpsPolynomial":
         return _poly(_pneg(self.coeffs))
 
     def __mul__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        return _poly(_pmul(self.coeffs, other.coeffs))
+        return EpsPolynomial(_pmul(self.coeffs, other.coeffs))
 
     def scale(self, k: _Coeff) -> "EpsPolynomial":
-        return _poly(_pmul(self.coeffs, (k,)) if k else ())
+        return EpsPolynomial(_pmul(self.coeffs, (k,)) if k else ())
 
     def divmod(self, other: "EpsPolynomial") -> tuple["EpsPolynomial", "EpsPolynomial"]:
         """Polynomial long division; exact rational arithmetic."""
@@ -296,7 +340,7 @@ class EpsPolynomial:
             quot[i - dd] = q
             for j, b in enumerate(other.coeffs):
                 rem[i - dd + j] -= q * b
-        return _poly(quot), _poly(_trim(rem))
+        return EpsPolynomial(quot), EpsPolynomial(rem)
 
     def __mod__(self, other: "EpsPolynomial") -> "EpsPolynomial":
         return self.divmod(other)[1]

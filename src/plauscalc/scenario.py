@@ -29,7 +29,6 @@ own exception.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Callable, Iterable
@@ -275,11 +274,14 @@ def _dempster(s: Scenario, a: dict) -> list[str]:
 
 
 def _combine_all(credals: list[CredalSet]) -> CredalSet:
-    bound = math.prod(len(c) for c in credals)
-    if bound > MAX_COMBINED_MEMBERS:
-        raise SelectionBudgetError(
-            f"combination could have up to {bound} members, more than {MAX_COMBINED_MEMBERS}"
-        )
+    bound = 1
+    for c in credals:
+        bound *= len(c)
+        if bound > MAX_COMBINED_MEMBERS:
+            raise SelectionBudgetError(
+                f"combination could have more than {MAX_COMBINED_MEMBERS} members"
+                f" (at least {bound})"
+            )
     return reduce(combine_laplace, credals)
 
 

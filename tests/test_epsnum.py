@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plauscalc import epsnum
 from plauscalc.epsnum import (
     EPS,
     ONE,
@@ -21,12 +22,14 @@ from plauscalc.epsnum import (
     EpsPolynomial,
     EpsRational,
     InfiniteValueError,
+    _coprime_at_point,
+    _pmul,
     const,
     poly_gcd,
     positive_root_lower_bound,
 )
 
-from conftest import rand_eps_rational, rand_poly
+from conftest import planted_factor, rand_eps_rational, rand_poly, rand_primitive
 
 
 def P(*coeffs):
@@ -308,6 +311,88 @@ class TestPolyGcd:
         assert poly_gcd(P(), P()) == P()
 
 
+class TestCoprimeAtPoint:
+    """The coprimality certificate that runs before the remainder sequence.
+
+    It may decline to decide, but a True must mean coprime.
+    """
+
+    def test_planted_common_factor_is_never_certified_away(self):
+        rng = random.Random(59)
+        for i in range(400):
+            f = planted_factor(rng, i)
+            room = 12 - (len(f) - 1)
+            a = _pmul(rand_primitive(rng, rng.randint(0, room)), f)
+            b = _pmul(rand_primitive(rng, rng.randint(0, room)), f)
+            assert not _coprime_at_point(a, b), (a, b)
+            assert not _coprime_at_point(b, a), (a, b)
+            assert poly_gcd(P(*a), P(*b)) % P(*f) == P(), (a, b, f)
+
+    def test_shared_linear_factor_is_caught(self):
+        # (eps - r)(eps + 1) and (eps - r)(eps + 2) leave h = |xi - r|: dropping
+        # the "- B" from the test, or trusting any h, would certify this pair.
+        for r in (2**32 - 1, 3, -5, 2**70 + 1):
+            a, b = _pmul([-r, 1], [1, 1]), _pmul([-r, 1], [2, 1])
+            assert not _coprime_at_point(a, b)
+            assert poly_gcd(P(*a), P(*b)) == P(-r, 1)
+
+    def test_coprime_edge_cases_are_certified(self):
+        big = 2**64 + 13
+        coprime = [
+            ([3, 2, -5], [1, -7]),  # negative leading coefficients
+            ([-1, 0, -2], [4, 0, 0, -3]),
+            ([big, 1], [big + 2, -3]),  # coefficients past 2^64
+            ([-big, 2**80, -(2**70)], [1, big]),
+            # coefficients past 2^32: a point fixed at 2^32 would be below B
+            (_pmul([-(2**32 - 1), 1], [1, 1]), _pmul([-(2**32 - 3), 1], [2, 1])),
+            (list(range(1, 14)), [1, 1]),  # unequal degrees
+            ([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], [-1, 2]),
+        ]
+        for a, b in coprime:
+            assert _coprime_at_point(a, b) and _coprime_at_point(b, a), (a, b)
+            assert poly_gcd(P(*a), P(*b)) == P(1)
+
+    def test_common_factor_edge_cases(self):
+        big = 2**64 + 13
+        shared = [
+            ([-1, 0, -1], [3, 2, -5], [-2, 1, -1]),  # negative leading coefficients
+            ([-big, 1], [big, 3], [1, -(2**65)]),  # coefficients past 2^64
+            ([0, 1], list(range(1, 12)), [-1]),  # unequal degrees
+            ([5, -7, 1], [1] * 10, [2, -1]),
+        ]
+        for f, ca, cb in shared:
+            a, b = _pmul(f, ca), _pmul(f, cb)
+            assert not _coprime_at_point(a, b) and not _coprime_at_point(b, a)
+            g = f if f[-1] > 0 else [-c for c in f]
+            assert poly_gcd(P(*a), P(*b)) == P(*g)
+
+
+class TestGcdSpanContract:
+    """``bench/spans.py`` counts gcds by wrapping ``epsnum.poly_gcd`` by module name."""
+
+    def test_sum_and_product_reach_module_poly_gcd(self, monkeypatch):
+        calls = []
+        real = epsnum.poly_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(epsnum, "poly_gcd", counting)
+        x = EpsRational(P(0, 1), P(1, 1))  # eps / (1 + eps)
+        y = EpsRational(P(2, 1), P(3, 1))  # (2 + eps) / (3 + eps)
+        assert x + y == EpsRational(P(2, 6, 2), P(3, 4, 1))
+        assert calls, "a sum with coprime denominators made no gcd call"
+        calls.clear()
+        assert x * y == EpsRational(P(0, 2, 1), P(3, 4, 1))
+        assert calls, "a product of nonconstant values made no gcd call"
+
+
+def has_exact_coeffs(p: EpsPolynomial) -> bool:
+    """``int`` where a coefficient is integral, ``Fraction`` elsewhere."""
+    return all(type(c) is (int if Fr(c).denominator == 1 else Fr) for c in p.coeffs)
+
+
 class TestExactTypes:
     """Canonical values hold ``int``; oracles and standard parts return ``Fraction``."""
 
@@ -357,3 +442,22 @@ class TestExactTypes:
         assert EpsPolynomial([Fr(4, 2), Fr(1, 2)]).coeffs == (2, Fr(1, 2))
         assert type(EpsPolynomial([Fr(4, 2)]).coeffs[0]) is int
 
+    def test_polynomial_ring_results_hold_int_where_integral(self):
+        half = Fr(1, 2)
+        cases = [
+            (P(1, 2).scale(Fr(2)), (2, 4)),
+            (P(half) + P(half, 1), (1, 1)),
+            (P(half, 3) - P(-half, half), (1, Fr(5, 2))),
+            (P(half) * P(2, 4), (1, 2)),
+            (P(2, 4).divmod(P(half))[0], (4, 8)),
+            (P(3, 0, 1).divmod(P(2, 2))[1], (4,)),
+        ]
+        for p, want in cases:
+            assert p.coeffs == want and has_exact_coeffs(p), p
+        rng = random.Random(67)
+        for _ in range(100):
+            p = rand_poly(rng, 4, bound=6)
+            q = rand_poly(rng, 3, bound=6, nonzero=True)
+            k = Fr(rng.randint(-6, 6), rng.randint(1, 6))
+            for r in (p + q, p - q, p * q, p.scale(k), *p.divmod(q)):
+                assert has_exact_coeffs(r), r

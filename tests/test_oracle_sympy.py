@@ -7,7 +7,10 @@ imports it.  Two facts are checked on seeded random values:
   to the same normalisation (integer coefficients with joint gcd 1, lowest
   nonzero denominator coefficient positive);
 * ``sign()`` equals the sign of the leading term of the expansion of the
-  value as eps -> 0+.
+  value as eps -> 0+;
+* the coprimality certificate that runs before the remainder sequence
+  certifies only pairs whose ``sympy.gcd`` is a constant, and ``poly_gcd``
+  equals ``sympy.gcd`` on every pair.
 """
 
 import math
@@ -18,9 +21,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from plauscalc.epsnum import EPS, ONE, EpsPolynomial, EpsRational
+from plauscalc.epsnum import EPS, ONE, EpsPolynomial, EpsRational, _coprime_at_point, _pmul, poly_gcd
 
-from conftest import rand_eps_rational, rand_poly
+from conftest import planted_factor, rand_eps_rational, rand_poly, rand_primitive
 
 E = sympy.Symbol("eps", positive=True)
 
@@ -102,3 +105,18 @@ def test_sign_is_sign_of_leading_term():
         values.append(a - EpsRational(a.num * EpsPolynomial((1, 0, 1)), a.den))
     for x in values:
         assert x.sign() == leading_sign(x), x
+
+
+def test_coprimality_certificate_agrees_with_sympy_gcd():
+    rng = random.Random(71)
+    certified = 0
+    for i in range(400):
+        f = planted_factor(rng, i // 3) if i % 3 == 0 else [1]  # plant a common factor
+        a, b = (_pmul(rand_primitive(rng, rng.randint(len(f) == 1, 13 - len(f)),
+                                     bound=rng.choice((10, 1000, 2**70))), f) for _ in "ab")
+        want = sympy.gcd(sympy.Poly(a[::-1], E), sympy.Poly(b[::-1], E))
+        if _coprime_at_point(a, b):
+            certified += 1
+            assert want.degree() == 0, (a, b)
+        assert list(poly_gcd(EpsPolynomial(a), EpsPolynomial(b)).coeffs) == want.all_coeffs()[::-1]
+    assert certified > 200

@@ -259,7 +259,7 @@ class TestCliExitCodes:
         head = "robust-combine m1 (x) m1 (x) m1 (x) m1: 2304 members\n"  # 8^4 = 4,096 pairs
         assert capsys.readouterr().out.startswith(head)
         for query, bound in (
-            ({"op": "robust-combine", "bodies": ["m1"] * 6}, 8 ** 6),  # 75,720 members unbounded
+            ({"op": "robust-combine", "bodies": ["m1"] * 6}, 8 ** 5),  # 75,720 members unbounded
             ({"op": "laplace", "credals": ["c1"] * 14}, 2 ** 14),
         ):
             doc["queries"] = [query]
@@ -267,9 +267,22 @@ class TestCliExitCodes:
             assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 1
             assert time.perf_counter() - start < 1
             assert capsys.readouterr() == ("", (
-                f"finding: combination could have up to {bound} members,"
-                f" more than {MAX_COMBINED_MEMBERS}\n"
+                f"finding: combination could have more than {MAX_COMBINED_MEMBERS}"
+                f" members (at least {bound})\n"
             ))
+
+    def test_combination_bound_stops_before_the_full_product(self, capsys, tmp_path):
+        # 4^8000 has 4,817 digits, past the int-to-str limit; the refusal
+        # must not print (or compute) the full product.
+        body = {"name": "m", "masses": [{"set": ["a", "b"], "mass": "1/2"},
+                                        {"set": ["c", "d"], "mass": "1/2"}]}
+        doc = {"frame": list("abcd"), "bodies": [body],
+               "queries": [{"op": "robust-combine", "bodies": ["m"] * 8000}]}
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"finding: combination could have more than {MAX_COMBINED_MEMBERS}"
+            f" members (at least {4 ** 7})\n"
+        ))
 
     @staticmethod
     def _heavy_body(focal_sets):
@@ -297,7 +310,8 @@ class TestCliExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert re.fullmatch(
-            rf"finding: combination could have up to \d+ members, more than {MAX_COMBINED_MEMBERS}\n",
+            rf"finding: combination could have more than {MAX_COMBINED_MEMBERS} members"
+            r" \(at least \d+\)\n",
             err,
         )
 
