@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .epsnum import ONE, ZERO, EpsRational, as_eps
+from .epsnum import ONE, EpsRational, as_eps, sum_values
 
 __all__ = [
     "ImpossibleEventError",
@@ -127,11 +127,10 @@ class ExtDist:
             values = tuple(as_eps(p) for p in probs)
             if len(values) != len(space.atoms):
                 raise ValueError("wrong number of probabilities")
-        total = ZERO
         for a, p in zip(space.atoms, values):
             if p.sign() < 0:
                 raise ValueError(f"negative probability for {a!r}: {p}")
-            total = total + p
+        total = sum_values(values)
         if total != ONE:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "space", space)
@@ -142,11 +141,7 @@ class ExtDist:
 
     def event_prob(self, event: Iterable[str]) -> EpsRational:
         ev = self.space.event(event)
-        total = ZERO
-        for a, p in zip(self.space.atoms, self.probs):
-            if a in ev:
-                total = total + p
-        return total
+        return sum_values(p for a, p in zip(self.space.atoms, self.probs) if a in ev)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{a}: {p}" for a, p in zip(self.space.atoms, self.probs))
@@ -312,7 +307,8 @@ def condition(c: CredalSet, event: Iterable[str]) -> CredalSet:
         pe = d.event_prob(ev)
         if pe.is_zero:
             continue
-        survivors.append(ExtDist(new_space, [d.prob(a) / pe for a in kept_atoms]))
+        inv = pe.reciprocal()
+        survivors.append(ExtDist(new_space, [d.prob(a) * inv for a in kept_atoms]))
     if not survivors:
         raise ImpossibleEventError("conditioning on impossible event")
     return CredalSet(new_space, survivors)
@@ -330,12 +326,11 @@ def combine_laplace(c1: CredalSet, c2: CredalSet) -> CredalSet:
     for d1 in c1.dists:
         for d2 in c2.dists:
             weights = [p * q for p, q in zip(d1.probs, d2.probs)]
-            total = ZERO
-            for w in weights:
-                total = total + w
+            total = sum_values(weights)
             if total.is_zero:
                 continue
-            out.append(ExtDist(c1.space, [w / total for w in weights]))
+            inv = total.reciprocal()
+            out.append(ExtDist(c1.space, [w * inv for w in weights]))
     if not out:
         raise IncompatibleCredalError("incompatible credal sets")
     return CredalSet(c1.space, out)

@@ -24,7 +24,10 @@ Arithmetic on canonical values runs on ``int`` only:
 * coprimality is first proven at one integer point: a gcd of the two
   values below a bound rules out every common factor, and the remainder
   sequence runs only when that test does not decide;
-* constant operands use plain integer gcds.
+* constant operands use plain integer gcds;
+* :func:`sum_values` and :func:`sum_products` add many terms at once: the
+  constant terms are summed as integers over the lcm of their denominators
+  and reduced by one gcd at the end, and the other terms fold with ``+``.
 
 :class:`EpsPolynomial` also takes rational (``Fraction``) coefficients;
 :class:`EpsRational` clears their denominators on entry.
@@ -50,6 +53,8 @@ __all__ = [
     "EPS",
     "const",
     "as_eps",
+    "sum_values",
+    "sum_products",
 ]
 
 _F0 = Fraction(0)
@@ -778,3 +783,49 @@ def const(q: Union[int, Fraction]) -> EpsRational:
     """The rational constant q as a field element."""
     q = _as_coeff(q)
     return _make((q.numerator,), (q.denominator,)) if q else ZERO
+
+
+# -- n-ary sums ---------------------------------------------------------------------
+
+
+def _const_sum(ps: list[int], qs: list[int], rest) -> EpsRational:
+    """sum(p/q) over one common denominator, plus ``rest`` (a value or None)."""
+    if ps:
+        lcm = math.lcm(*qs)
+        total = _ratio(sum(p * (lcm // q) for p, q in zip(ps, qs)), lcm)
+    else:
+        total = ZERO
+    if rest is None:
+        return total
+    return rest if total.is_zero else rest + total
+
+
+def sum_values(values: Iterable[EpsRational]) -> EpsRational:
+    """The exact sum of the values; ``ZERO`` for none."""
+    ps: list[int] = []
+    qs: list[int] = []
+    rest = None
+    for v in values:
+        n, d = v.num.coeffs, v.den.coeffs
+        if len(n) == 1 and len(d) == 1:
+            ps.append(n[0])
+            qs.append(d[0])
+        elif n:
+            rest = v if rest is None else rest + v
+    return _const_sum(ps, qs, rest)
+
+
+def sum_products(pairs: Iterable[tuple[EpsRational, EpsRational]]) -> EpsRational:
+    """The exact sum of ``x * y`` over the pairs; ``ZERO`` for none."""
+    ps: list[int] = []
+    qs: list[int] = []
+    rest = None
+    for x, y in pairs:
+        nx, dx, ny, dy = x.num.coeffs, x.den.coeffs, y.num.coeffs, y.den.coeffs
+        if len(nx) == len(dx) == len(ny) == len(dy) == 1:
+            ps.append(nx[0] * ny[0])
+            qs.append(dx[0] * dy[0])
+        elif nx and ny:
+            w = x * y
+            rest = w if rest is None else rest + w
+    return _const_sum(ps, qs, rest)

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Union
 
 from .credal import CredalSet, ExtDist, Frame, Prob, SetLike, combine_laplace, envelopes
-from .epsnum import ONE, ZERO, EpsRational, as_eps
+from .epsnum import ONE, ZERO, EpsRational, as_eps, sum_products, sum_values
 
 __all__ = [
     "TotalConflictError",
@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 
-# Bound on the selection functions a credal translation enumerates, and on the
-# product of the operands' member counts in a combination of credal sets.
+# Bound on the selection functions a credal translation enumerates, on the
+# product of the operands' member counts in a combination of credal sets, and
+# on the focal sets one step of a chain of Dempster combinations can produce.
 MAX_COMBINED_MEMBERS = 10_000
 
 
@@ -50,28 +51,35 @@ class TotalConflictError(ValueError):
 
 class SelectionBudgetError(ValueError):
     """Credal translation would enumerate too many selection functions, or a
-    combination of credal sets could have too many members."""
+    combination of credal sets or bodies of evidence could have too many
+    members or focal sets."""
 
 
 @dataclass(frozen=True)
 class MassFunction:
-    """Body of evidence: positive masses on nonempty subsets, summing to 1."""
+    """Body of evidence: positive masses on nonempty subsets, summing to 1.
+
+    ``masses`` maps subsets to masses, or lists (subset, mass) pairs; the
+    masses given for one subset add up.
+    """
 
     frame: Frame
     focal: tuple[tuple[int, EpsRational], ...]  # sorted by mask
 
-    def __init__(self, frame: Frame, masses: Mapping[SetLike, Prob]):
-        acc: dict[int, EpsRational] = {}
-        for subset, mass in masses.items():
-            mask = frame.mask_of(subset)
-            acc[mask] = acc.get(mask, ZERO) + as_eps(mass)
-        if 0 in acc:
+    def __init__(
+        self, frame: Frame, masses: Union[Mapping[SetLike, Prob], Iterable[tuple[SetLike, Prob]]]
+    ):
+        groups: dict[int, list[EpsRational]] = {}
+        pairs = masses.items() if isinstance(masses, Mapping) else masses
+        for subset, mass in pairs:
+            groups.setdefault(frame.mask_of(subset), []).append(as_eps(mass))
+        if 0 in groups:
             raise ValueError("the empty set cannot carry mass")
-        total = ZERO
+        acc = {mask: sum_values(ms) for mask, ms in groups.items()}
         for mask, m in acc.items():
             if m.sign() <= 0:
                 raise ValueError(f"mass of {frame.fmt_set(mask)} must be positive, got {m}")
-            total = total + m
+        total = sum_values(acc.values())
         if total != ONE:
             raise ValueError(f"masses sum to {total}, expected 1")
         object.__setattr__(self, "frame", frame)
@@ -104,33 +112,23 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """
     if m1.frame.atoms != m2.frame.atoms:
         raise ValueError("mass functions must share the frame")
-    raw: dict[int, EpsRational] = {}
-    conflict = ZERO
+    groups: dict[int, list[tuple[EpsRational, EpsRational]]] = {}
     for a, ma in m1.focal:
         for b, mb in m2.focal:
-            c = a & b
-            w = ma * mb
-            if c == 0:
-                conflict = conflict + w
-            else:
-                raw[c] = raw.get(c, ZERO) + w
+            groups.setdefault(a & b, []).append((ma, mb))
+    conflict = sum_products(groups.pop(0, ()))
     if conflict == ONE:
         raise TotalConflictError("total conflict")
-    scale = ONE - conflict
-    return MassFunction(m1.frame, {mask: w / scale for mask, w in raw.items()})
+    inv = (ONE - conflict).reciprocal()
+    return MassFunction(m1.frame, {mask: sum_products(ws) * inv for mask, ws in groups.items()})
 
 
 def bel_pl(m: MassFunction, event: SetLike) -> tuple[EpsRational, EpsRational]:
     """Belief and plausibility of the event: the mass certainly inside it and
     the mass not certainly outside it."""
     ev = m.frame.mask_of(event)
-    bel = ZERO
-    pl = ZERO
-    for mask, v in m.focal:
-        if mask & ~ev == 0:
-            bel = bel + v
-        if mask & ev:
-            pl = pl + v
+    bel = sum_values(v for mask, v in m.focal if mask & ~ev == 0)
+    pl = sum_values(v for mask, v in m.focal if mask & ev)
     return bel, pl
 
 

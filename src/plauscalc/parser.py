@@ -2,15 +2,16 @@
 
 Grammar (whitespace insensitive)::
 
-    Expr     := Term (('+' | '-') Term)*
-    Term     := Pow (('*' | '/') Pow)*
-    Pow      := Atom ('^' UInt)?
-    Atom     := '-'? (Rational | 'eps' | '(' Expr ')')
-    Rational := UInt ('/' UInt)?
+    Expr := Term (('+' | '-') Term)*
+    Term := Pow (('*' | '/') Pow)*
+    Pow  := Atom ('^' UInt)?
+    Atom := '-'? (UInt | 'eps' | '(' Expr ')')
 
-``^`` binds tighter than ``*`` and ``/``; exponents are nonnegative integer
-literals.  All arithmetic is exact, so ``1/2`` parsed as a division and as a
-rational literal denote the same value.  The rules evaluate as they parse, so
+``^`` binds tighter than ``*`` and ``/``, so ``2/3^2`` is ``2/9``; exponents
+are nonnegative integer literals.  A ``UInt`` is a run of decimal digits (the
+characters ``int`` accepts).  An input that is one plain rational literal,
+``p`` or ``p/q`` in ASCII digits with ``q`` nonzero, is converted directly,
+to the same value the rules give it.  The rules evaluate as they parse, so
 parsing yields the canonical :class:`~plauscalc.epsnum.EpsRational` of the
 expression directly; no expression tree is built.  A syntax error anywhere in
 the input wins over a division by zero: the first division by zero is kept,
@@ -32,7 +33,9 @@ violation is an :class:`EpsSyntaxError` like any other:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .epsnum import EPS, ZERO, EpsRational, const
@@ -48,6 +51,9 @@ __all__ = [
 MAX_TOKENS = 1000
 MAX_DEPTH = 100
 MAX_SIZE = 256
+
+# One plain rational literal, converted without the rules.
+_LITERAL = re.compile(r"[0-9]+(/[0-9]+)?")
 
 
 class EpsSyntaxError(ValueError):
@@ -77,9 +83,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j
@@ -233,4 +239,12 @@ def parse_eps_expr(text: str) -> EpsRational:
     Raises :class:`EpsSyntaxError` on malformed input and
     :class:`ZeroDivisionError` when the expression divides by zero.
     """
+    if _LITERAL.fullmatch(text):
+        p, _, q = text.partition("/")
+        try:
+            num, den = int(p), int(q or "1")
+        except ValueError:  # longer than the interpreter converts
+            den = 0
+        if den:  # otherwise the rules raise the error
+            return const(num if den == 1 else Fraction(num, den))
     return _Parser(_tokenize(text)).parse()

@@ -145,7 +145,7 @@ def parse_scenario(doc: Any) -> Scenario:
         raw = item.get("masses")
         if not isinstance(raw, list) or not raw:
             raise ScenarioError(f"{where}.masses", "expected a nonempty list")
-        masses = {}
+        masses = []
         for j, entry in enumerate(raw):
             epath = f"{where}.masses[{j}]"
             if not isinstance(entry, dict) or "set" not in entry or "mass" not in entry:
@@ -156,7 +156,7 @@ def parse_scenario(doc: Any) -> Scenario:
             except KeyError as exc:
                 raise ScenarioError(f"{epath}.set", str(exc.args[0])) from exc
             value = _number(entry["mass"], f"{epath}.mass")
-            masses[mask] = masses.get(mask, 0) + value
+            masses.append((mask, value))
         try:
             bodies[name] = MassFunction(frame, masses)
         except ValueError as exc:
@@ -269,7 +269,17 @@ def _bel_pl(s: Scenario, a: dict) -> list[str]:
 
 
 def _dempster(s: Scenario, a: dict) -> list[str]:
-    m = reduce(dempster_combine, (s.bodies[name] for name in a["bodies"]))
+    m, *rest = (s.bodies[name] for name in a["bodies"])
+    for nxt in rest:
+        # The focal sets of a step are intersections: at most one per pair and
+        # one per nonempty subset of the frame.
+        bound = min(len(m.focal) * len(nxt.focal), m.frame.full_mask)
+        if bound > MAX_COMBINED_MEMBERS:
+            raise SelectionBudgetError(
+                f"dempster combination could have more than {MAX_COMBINED_MEMBERS}"
+                f" focal sets (up to {bound})"
+            )
+        m = dempster_combine(m, nxt)
     return [f"dempster {' (x) '.join(a['bodies'])} = {m}"]
 
 

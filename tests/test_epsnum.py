@@ -7,7 +7,9 @@ decides.
 """
 
 import math
+import operator
 import random
+from functools import reduce
 from fractions import Fraction as Fr
 
 import pytest
@@ -27,6 +29,8 @@ from plauscalc.epsnum import (
     const,
     poly_gcd,
     positive_root_lower_bound,
+    sum_products,
+    sum_values,
 )
 
 from conftest import planted_factor, rand_eps_rational, rand_poly, rand_primitive
@@ -134,6 +138,56 @@ class TestFieldLaws:
         assert (const(x) * const(y)).standard_part() == x * y
         if y != 0:
             assert (const(x) / const(y)).standard_part() == x / y
+
+
+_CONSTS = st.builds(lambda p, q: const(Fr(p, q)), st.integers(-40, 40), st.integers(1, 40))
+_POLYS = st.builds(
+    lambda n, d: EpsRational(P(*n), P(*d)),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any),
+)
+_TERMS = st.lists(st.one_of(_CONSTS, _POLYS), max_size=8)
+
+
+def structure(x: EpsRational):
+    """The canonical coefficient tuples, with their exact types."""
+    return [(type(c), c) for c in x.num.coeffs], [(type(c), c) for c in x.den.coeffs]
+
+
+class TestNarySums:
+    """``sum_values`` and ``sum_products`` equal left folds with ``+`` and ``*``."""
+
+    @given(st.lists(_CONSTS, max_size=8))
+    def test_constant_sum_matches_fold(self, xs):
+        assert structure(sum_values(xs)) == structure(reduce(operator.add, xs, ZERO))
+
+    @given(_TERMS)
+    def test_mixed_sum_matches_fold(self, xs):
+        assert structure(sum_values(xs)) == structure(reduce(operator.add, xs, ZERO))
+
+    @given(st.lists(st.tuples(st.one_of(_CONSTS, _POLYS), st.one_of(_CONSTS, _POLYS)), max_size=8))
+    def test_sum_of_products_matches_fold(self, pairs):
+        want = reduce(operator.add, (x * y for x, y in pairs), ZERO)
+        assert structure(sum_products(pairs)) == structure(want)
+
+    @given(_TERMS)
+    def test_cancelling_sums_are_zero(self, xs):
+        terms = xs + [-x for x in reversed(xs)]
+        assert structure(sum_values(terms)) == structure(ZERO)
+        assert structure(sum_products([(x, ONE) for x in xs] + [(x, -ONE) for x in xs])) == \
+            structure(ZERO)
+
+    def test_empty_and_single_terms(self):
+        assert sum_values([]) is ZERO and sum_products([]) is ZERO
+        for x in (ZERO, ONE, EPS, const(Fr(-6, 4)), (1 + EPS) / (2 - EPS)):
+            assert structure(sum_values([x])) == structure(x)
+            assert structure(sum_products([(x, x)])) == structure(x * x)
+
+    def test_constants_over_one_common_denominator(self):
+        xs = [const(Fr(1, 6)), const(Fr(-1, 4)), const(Fr(5, 12)), const(3)]
+        assert sum_values(xs) == const(Fr(10, 3))
+        pairs = [(const(Fr(1, 2)), const(Fr(1, 3))), (const(Fr(-2, 5)), const(Fr(5, 4)))]
+        assert sum_products(pairs) == const(Fr(-1, 3))
 
 
 class TestOrder:

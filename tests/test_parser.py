@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pathlib import Path
+
+from plauscalc import parser
 from plauscalc.epsnum import EPS, ONE, ZERO, EpsRational, const
 from plauscalc.parser import MAX_DEPTH, MAX_SIZE, EpsSyntaxError, parse_eps_expr
+from plauscalc.scenario import load_scenario
 
 from conftest import rand_eps_rational
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestGrammar:
@@ -22,6 +28,9 @@ class TestGrammar:
 
     def test_power_binds_before_division(self):
         assert parse_eps_expr("eps^2/3") == EPS ** 2 / 3
+
+    def test_power_binds_before_division_of_literals(self):
+        assert parse_eps_expr("2/3^2") == const(Fr(2, 9))
 
     def test_power_binds_before_multiplication(self):
         assert parse_eps_expr("2*eps^3") == 2 * EPS ** 3
@@ -67,6 +76,79 @@ class TestErrors:
     def test_division_by_zero_survives_later_operations(self, text):
         with pytest.raises(ZeroDivisionError, match="^division by zero$"):
             parse_eps_expr(text)
+
+
+class TestDigits:
+    @pytest.mark.parametrize("text, position", [("\u00b2", 0), ("eps^\u00b2", 4), ("1/2\u00b2", 3)])
+    def test_superscript_digit_is_an_unexpected_character(self, text, position):
+        with pytest.raises(EpsSyntaxError, match="unexpected character '\u00b2'") as err:
+            parse_eps_expr(text)
+        assert err.value.position == position
+
+    def test_other_decimal_digits_parse(self):
+        # Arabic-Indic three and four, which int() accepts
+        assert parse_eps_expr("\u0663/\u0664 + eps^\u0662") == const(Fr(3, 4)) + EPS ** 2
+
+
+def by_rules(text):
+    return parser._Parser(parser._tokenize(text)).parse()
+
+
+def outcome(parse, text):
+    try:
+        x = parse(text)
+    except (EpsSyntaxError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return [(type(c), c) for c in x.num.coeffs], [(type(c), c) for c in x.den.coeffs]
+
+
+class TestLiteralRoute:
+    """A plain ``p`` or ``p/q`` gives exactly what the rules give, error included."""
+
+    @pytest.mark.parametrize("text", [
+        "0", "7", "007", "0/5", "00/0003", "6/4", "1/1", "123456789012345678901234567890/35",
+        "1/0", "0/0", "007/000",
+        "1" * 4301, "1/" + "1" * 4301, "1" * 4301 + "/2", "1" * 4300 + "/" + "3" * 4300,
+        " 1/2", "1/2 ", "1 / 2", "-1/2", "+1", "1/-2", "1//2", "1/", "/2", "1/2/3", "3/2\n",
+        "\u0663/\u0664",
+    ], ids=lambda t: repr(t) if len(t) < 30 else f"{len(t)}-chars")
+    def test_same_outcome_as_the_rules(self, text):
+        assert outcome(parse_eps_expr, text) == outcome(by_rules, text)
+
+    @given(st.integers(0, 10 ** 40), st.integers(0, 10 ** 40), st.integers(0, 3),
+           st.integers(0, 3), st.booleans())
+    def test_random_literals(self, p, q, zp, zq, fraction):
+        text = "0" * zp + str(p) + ("/" + "0" * zq + str(q) if fraction else "")
+        assert outcome(parse_eps_expr, text) == outcome(by_rules, text)
+
+    def rules_runs(self, monkeypatch):
+        runs = []
+
+        class Counting(parser._Parser):
+            def __init__(self, tokens):
+                runs.append(tokens)
+                super().__init__(tokens)
+
+        monkeypatch.setattr(parser, "_Parser", Counting)
+        return runs
+
+    def test_only_plain_literals_skip_the_rules(self, monkeypatch):
+        runs = self.rules_runs(monkeypatch)
+        for text in ("3", "3/4", "0/4"):
+            parse_eps_expr(text)
+        assert runs == []
+        for text in (" 3", "3/4 ", "1/0", "-3", "eps"):
+            try:
+                parse_eps_expr(text)
+            except ZeroDivisionError:
+                pass
+        assert len(runs) == 5
+
+    def test_gelman_scenario_runs_no_rules(self, monkeypatch):
+        # every number in the file is a plain literal
+        runs = self.rules_runs(monkeypatch)
+        load_scenario(str(REPO / "scenarios" / "gelman.json"))
+        assert runs == []
 
 
 class TestRoundTrip:

@@ -285,6 +285,44 @@ class TestCliExitCodes:
         ))
 
     @staticmethod
+    def _drop_one_doc(times):
+        # 20 focal sets on 20 atoms, each dropping one atom: t - 1 Dempster steps
+        # leave every set missing 1 to t atoms, sum(C(20, k), k = 1..t) focal sets
+        atoms = [f"a{i}" for i in range(20)]
+        body = {"name": "m", "masses": [{"set": [a for a in atoms if a != x], "mass": "1/20"}
+                                        for x in atoms]}
+        return {"frame": atoms, "bodies": [body],
+                "queries": [{"op": "dempster", "bodies": ["m"] * times}]}
+
+    def test_dempster_chain_within_bound_runs(self, capsys, tmp_path):
+        f = write_scenario(tmp_path, self._drop_one_doc(3))
+        assert dispatch(["scenario", "run", f]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("dempster m (x) m (x) m = [")
+        assert out.count("}: ") == 20 + 190 + 1140
+
+    def test_dempster_chain_past_bound_is_one_line_finding(self, capsys, tmp_path):
+        # the third step pairs 1,350 focal sets with 20
+        f = write_scenario(tmp_path, self._drop_one_doc(4))
+        finding = (f"finding: dempster combination could have more than {MAX_COMBINED_MEMBERS}"
+                   f" focal sets (up to {1350 * 20})\n")
+        for argv in (["scenario", "run", f],
+                     ["ds", "combine", "--rule", "dempster", f, "--bodies", "m,m,m,m"]):
+            start = time.perf_counter()
+            assert dispatch(argv) == 1
+            assert time.perf_counter() - start < 2
+            assert capsys.readouterr() == ("", finding)
+
+    def test_dempster_bound_counts_subsets_of_a_small_frame(self, capsys, tmp_path):
+        # every nonempty subset of 7 atoms: 127 x 127 pairs, yet at most 127 focal sets
+        subsets = [s for k in range(1, 8) for s in itertools.combinations("abcdefg", k)]
+        masses = [{"set": list(s), "mass": "1/127"} for s in subsets]
+        doc = {"frame": list("abcdefg"), "bodies": [{"name": "m", "masses": masses}],
+               "queries": [{"op": "dempster", "bodies": ["m", "m"]}]}
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out.count("}: ") == 127
+
+    @staticmethod
     def _heavy_body(focal_sets):
         # three-atom focal sets on six atoms: 3^focal_sets selection functions
         sets = list(itertools.combinations("abcdef", 3))[:focal_sets]
