@@ -315,6 +315,8 @@ def verify_embedding(kernel: Kernel, samples: int = 200, seed: int = 0) -> Embed
     """Sample pairs and confirm the embedding is a strictly monotone
     homomorphism: multiplication extends F, addition extends G where defined,
     the order is preserved both ways, and distinct values stay distinct."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     emb = Embedding(kernel)
     k = kernel
     rng = random.Random(seed)

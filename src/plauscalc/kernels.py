@@ -15,6 +15,12 @@ with a pass/fail status and, on failure, a concrete reproducing witness.
 :func:`archimedean_check` and :func:`separability_check` probe the two
 order-theoretic properties whose failure signals infinitesimal values.
 
+Kernel work is done once.  The checker evaluates each expression once per
+sampled triple and reuses it across the laws that mention it; the rat order
+compares integer cross-products of numerators and denominators rather than
+going through ``Fraction``'s generic comparison; the Archimedean probe costs
+one G per bit of ``n_max``.
+
 Values are checked once, where they enter.  The public ``F``, ``G``, ``S``
 and ``g_defined`` raise :class:`DomainError` for an argument outside the
 domain.  The private ``_f``, ``_s``, ``_g``, ``_g_defined`` and ``_g_sum``
@@ -182,8 +188,24 @@ class RatKernel(Kernel):
     def top(self) -> Fraction:
         return Fraction(1)
 
+    # Domain values are ints or canonical Fractions (lowest terms, positive
+    # denominator), so integer cross-products decide the order.
+
     def contains(self, x: Value) -> bool:
-        return isinstance(x, (Fraction, int)) and not isinstance(x, bool) and 0 <= x <= 1
+        return (
+            isinstance(x, (Fraction, int))
+            and not isinstance(x, bool)
+            and 0 <= x.numerator <= x.denominator
+        )
+
+    def eq(self, x, y):
+        return x.numerator == y.numerator and x.denominator == y.denominator
+
+    def leq(self, x, y):
+        return x.numerator * y.denominator <= y.numerator * x.denominator
+
+    def lt(self, x, y):
+        return x.numerator * y.denominator < y.numerator * x.denominator
 
     def coerce(self, x: Value) -> Fraction:
         if isinstance(x, EpsRational):
@@ -226,6 +248,9 @@ class BrokenNegationKernel(RatKernel):
         return (1 - x) ** 2
 
 
+_EPS_SPECIALS = (ZERO, ONE, EPS, ONE - EPS, EPS * EPS, const(Fraction(1, 2)) + EPS)
+
+
 class EpsKernel(Kernel):
     """Exact eps-field values in [0, 1] under the probability formulas."""
 
@@ -254,14 +279,12 @@ class EpsKernel(Kernel):
 
     def sample(self, rng: random.Random) -> EpsRational:
         if rng.random() < 0.2:
-            return rng.choice(
-                [ZERO, ONE, EPS, ONE - EPS, EPS * EPS, const(Fraction(1, 2)) + EPS]
-            )
+            return rng.choice(_EPS_SPECIALS)
         den = rng.randint(1, 8)
-        q0 = const(Fraction(rng.randint(0, den), den))
+        q0 = Fraction(rng.randint(0, den), den)
         q1 = Fraction(rng.randint(-2, 2), rng.randint(1, 4))
         q2 = Fraction(rng.randint(-2, 2), rng.randint(1, 4))
-        v = q0 + q1 * EPS + q2 * (EPS * EPS)
+        v = EpsRational((q0, q1, q2))  # q0 + q1 eps + q2 eps^2
         if v.sign() < 0:
             return ZERO
         if v.compare(ONE) > 0:
@@ -293,6 +316,13 @@ class BoolKernel(Kernel):
 
     def contains(self, x: Value) -> bool:
         return isinstance(x, bool)
+
+    def coerce(self, x: Value) -> bool:
+        """The constants 0 and 1 (int, Fraction or eps-value) become False/True."""
+        v = x.standard_part() if isinstance(x, EpsRational) and x.is_constant() else x
+        if isinstance(v, (int, Fraction)) and v in (0, 1):
+            return v == 1
+        return super().coerce(x)
 
     def sample(self, rng: random.Random) -> bool:
         return rng.random() < 0.5
@@ -408,17 +438,24 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
         z = k.sample(rng)
         k._require(x, y, z)
 
-        fxy = k._f(x, y)
+        # Each expression is evaluated once per triple.  G(u, v) is defined
+        # exactly when u <= S(v) (``Kernel._g_defined``, which no kernel
+        # overrides), so where v is x, y or z that test reads the stored S(v).
+        sx, sy, sz = k._s(x), k._s(y), k._s(z)
+        fxy, fyz = k._f(x, y), k._f(y, z)
+        fxz = None  # F(x,z), computed on first use
+        gxy = k._g(x, y) if k.leq(x, sy) else None
+        gyx = k._g(y, x) if k.leq(y, sx) else None
+        gyz = k._g(y, z) if k.leq(y, sz) else None
+
         law["F-symmetry"].record(k, k.eq(fxy, k._f(y, x)), (x, y), "F(x,y) != F(y,x)")
         law["F-associativity"].record(
             k,
-            k.eq(k._f(fxy, z), k._f(x, k._f(y, z))),
+            k.eq(k._f(fxy, z), k._f(x, fyz)),
             (x, y, z),
             "F(F(x,y),z) != F(x,F(y,z))",
         )
 
-        gxy = g_try(x, y)
-        gyx = g_try(y, x)
         if gxy is not None or gyx is not None:
             law["G-symmetry"].record(
                 k,
@@ -427,8 +464,7 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
                 "G(x,y) and G(y,x) differ or one side is undefined",
             )
 
-        left = g_try(gxy, z) if gxy is not None else None
-        gyz = g_try(y, z)
+        left = k._g(gxy, z) if gxy is not None and k.leq(gxy, sz) else None
         right = g_try(x, gyz) if gyz is not None else None
         if left is not None or right is not None:
             law["G-associativity"].record(
@@ -439,7 +475,7 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
             )
 
         if gxy is not None:
-            fxz, fyz = k._f(x, z), k._f(y, z)
+            fxz = k._f(x, z)
             dist = g_try(fxz, fyz)
             law["F-over-G-distributivity"].record(
                 k,
@@ -463,22 +499,24 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
 
         if k.lt(x, y):
             if not k.eq(z, bot):
+                if fxz is None:
+                    fxz = k._f(x, z)
                 law["F-monotonicity"].record(
                     k,
-                    k.lt(k._f(x, z), k._f(y, z)) and k.lt(k._f(z, x), k._f(z, y)),
+                    k.lt(fxz, fyz) and k.lt(k._f(z, x), k._f(z, y)),
                     (x, y, z),
                     "x < y but F(x,z) !< F(y,z) with z != bottom",
                 )
-            if g_try(y, z) is not None and g_try(x, z) is not None:
+            if gyz is not None and k.leq(x, sz):
                 law["G-monotonicity"].record(
                     k,
-                    k.lt(k._g(x, z), k._g(y, z)),
+                    k.lt(k._g(x, z), gyz),
                     (x, y, z),
                     "x < y but G(x,z) !< G(y,z)",
                 )
             law["S-antitone"].record(
                 k,
-                k.lt(k._s(y), k._s(x)),
+                k.lt(sy, sx),
                 (x, y),
                 "x < y but S(x) !> S(y)",
             )
@@ -486,7 +524,7 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
         law["G-bottom-unit"].record(k, k.eq(k._g(x, bot), x), (x,), "G(x,bottom) != x")
         law["F-bottom-absorbing"].record(k, k.eq(k._f(bot, x), bot), (x,), "F(bottom,x) != bottom")
         law["F-top-unit"].record(k, k.eq(k._f(x, top), x), (x,), "F(x,top) != x")
-        ssx = k._s(k._s(x))
+        ssx = k._s(sx)
         ok = k.eq(ssx, x)
         law["S-involution"].record(
             k, ok, (x,), "" if ok else f"S(S(x)) = {k.fmt(ssx)} != x"
@@ -515,67 +553,46 @@ def archimedean_check(kernel: Kernel, e: Value, n_max: int) -> ArchimedeanResult
     """Smallest N <= n_max with N.e > S(e), where N.e iterates G((n-1).e, e).
 
     The predicate "N.e > S(e)" is monotone in N because G strictly increases,
-    so the smallest N is located with exponential doubling plus bisection;
-    multiples are assembled from doubled summands, which agrees with the
-    one-at-a-time iteration whenever G is symmetric and associative where
-    defined.  An n-fold sum that leaves G's domain implies the threshold was
-    already crossed at some smaller n, and is treated as "exceeded".
+    so the largest multiple m.e not above S(e) is found bit by bit, from the
+    highest bit of n_max down: with m.e in hand, the bit 2^i is kept when
+    m + 2^i <= n_max and G(m.e, (2^i).e) is defined and not above S(e).  Each
+    probe costs one G; the summands (2^i).e are built by doubling.  Multiples
+    assembled this way agree with the one-at-a-time iteration whenever G is
+    symmetric and associative where defined.  A sum that leaves G's domain
+    implies the threshold was already crossed, and is treated as "exceeded".
+    The answer is m + 1, or "not found" when m = n_max.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     k = kernel
+    k._require(e)
     if k.eq(e, k.bottom):
         raise ValueError("e must be nonzero")
-    k._require(e)
     s = k._s(e)
 
-    powers: list[Optional[Value]] = [e]  # powers[i] = (2^i).e, None once undefined
+    powers = [e]  # powers[i] = (2^i).e, up to the highest bit of n_max or while defined
+    while 1 << len(powers) <= n_max:
+        p = powers[-1]
+        if not k._g_defined(p, p):
+            break
+        powers.append(k._g(p, p))
 
-    def power(i: int) -> Optional[Value]:
-        while len(powers) <= i:
-            p = powers[-1]
-            if p is None or not k._g_defined(p, p):
-                powers.append(None)
-            else:
-                powers.append(k._g(p, p))
-        return powers[i]
-
-    def multiple(n: int) -> Optional[Value]:
-        acc = None
-        bit = 0
-        while n:
-            if n & 1:
-                p = power(bit)
-                if p is None:
-                    return None
-                if acc is None:
-                    acc = p
-                elif k._g_defined(acc, p):
-                    acc = k._g(acc, p)
-                else:
-                    return None
-            n >>= 1
-            bit += 1
-        return acc
-
-    def exceeded(n: int) -> bool:
-        v = multiple(n)
-        return True if v is None else k.lt(s, v)
-
-    if exceeded(1):
-        return ArchimedeanResult(found=True, n=1)
-    if n_max < 2 or not exceeded(n_max):
-        return ArchimedeanResult(found=False, reason=f"no multiple up to {n_max} exceeds S(e)")
-
-    lo = 1  # exceeded(lo) is False
-    hi = 2
-    while hi < n_max and not exceeded(hi):
-        lo, hi = hi, min(hi * 2, n_max)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if exceeded(mid):
-            hi = mid
+    m, acc = 0, None  # acc = m.e, not above S(e); None stands for 0.e
+    for i in reversed(range(len(powers))):
+        step, p = 1 << i, powers[i]
+        if m + step > n_max:
+            continue
+        if acc is None:
+            nxt = p
+        elif k._g_defined(acc, p):
+            nxt = k._g(acc, p)
         else:
-            lo = mid
-    return ArchimedeanResult(found=True, n=hi)
+            continue
+        if not k.lt(s, nxt):
+            m, acc = m + step, nxt
+    if m == n_max:
+        return ArchimedeanResult(found=False, reason=f"no multiple up to {n_max} exceeds S(e)")
+    return ArchimedeanResult(found=True, n=m + 1)
 
 
 @dataclass(frozen=True)

@@ -288,3 +288,13 @@ class TestBoundaryChecks:
         ):
             with pytest.raises(DomainError):
                 call()
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_refused(self, rat_kernel, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            verify_embedding(rat_kernel, samples=samples)
+
+    def test_one_sample_runs(self, rat_kernel):
+        assert verify_embedding(rat_kernel, samples=1).all_passed

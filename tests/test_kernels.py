@@ -2,17 +2,24 @@
 
 Both diagnostic searches are cross-checked against independent brute-force
 oracles at desk scale: literal one-at-a-time iteration for the archimedean
-bound and a full double loop for separability witnesses.
+bound and a full double loop for separability witnesses.  The axiom checker,
+which evaluates each expression once per triple, is cross-checked against a
+reference that evaluates every law operand afresh.
 """
 
 import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plauscalc.epsnum import EPS, ONE, ZERO, const
 from plauscalc.kernels import (
     KERNELS,
+    AxiomCheck,
+    AxiomReport,
+    BrokenNegationKernel,
     DomainError,
     RatKernel,
     UndefinedSumError,
@@ -319,3 +326,239 @@ class TestSeparability:
             separability_check(rat_kernel, Fr(1, 2), Fr(1, 4), Fr(1, 3), 10)  # x > y
         with pytest.raises(ValueError):
             separability_check(rat_kernel, Fr(0), Fr(1, 2), Fr(1, 3), 10)  # x at bottom
+
+
+class TestRatOrder:
+    """The rat order by integer cross-products agrees with Fraction's."""
+
+    values = st.one_of(
+        st.sampled_from([0, 1]),
+        st.builds(Fr, st.integers(-(2**60), 2**60), st.integers(1, 2**60)),
+    )
+
+    @settings(max_examples=400, derandomize=True)
+    @given(values, values)
+    def test_agrees_with_fraction_order(self, x, y):
+        k = RatKernel()
+        assert k.eq(x, y) == (x == y)
+        assert k.leq(x, y) == (x <= y)
+        assert k.lt(x, y) == (x < y)
+        assert k.contains(x) == (0 <= x <= 1)
+
+    def test_contains_rejects_foreign_types(self, rat_kernel):
+        for v in (True, False, 0.5, "1/2", const(Fr(1, 2)), None):
+            assert not rat_kernel.contains(v)
+
+
+class TestBoolCoerce:
+    def test_constants_zero_and_one(self, bool_kernel):
+        for v in (0, Fr(0), const(0), ZERO, False):
+            assert bool_kernel.coerce(v) is False
+        for v in (1, Fr(1), const(1), ONE, True):
+            assert bool_kernel.coerce(v) is True
+
+    def test_other_values_refused(self, bool_kernel):
+        for v in (2, -1, Fr(1, 2), const(Fr(1, 2)), EPS, ONE - EPS, "1", None):
+            with pytest.raises(DomainError, match="is not a bool-kernel value"):
+                bool_kernel.coerce(v)
+
+
+def reference_check_axioms(kernel, samples, seed, prefixes=None):
+    """The checker's loop with every law operand evaluated afresh.
+
+    Each G-definedness test goes through ``_g_defined`` and nothing is reused
+    between laws, so it is independent of the checker's sharing of values.
+    When ``prefixes`` is a list, the law table that ``check_axioms`` with
+    ``samples=n`` reports is appended to it for each n = 1 .. samples.
+    """
+    rng = random.Random(seed)
+    k = kernel
+    bot, top = k.bottom, k.top
+    report = AxiomReport(kernel=k.name, samples=samples, seed=seed)
+
+    def g_try(x, y):
+        return k._g(x, y) if k._g_defined(x, y) else None
+
+    law = report.checks
+    for name in (
+        "F-symmetry", "F-associativity", "G-symmetry", "G-associativity",
+        "F-over-G-distributivity", "F-monotonicity", "G-monotonicity",
+        "S-antitone", "G-bottom-unit", "F-bottom-absorbing", "F-top-unit",
+        "S-involution", "S-bottom-is-top", "F-below-min", "G-above-max",
+    ):
+        law[name] = AxiomCheck(name)
+    # The one law checked after the loop; it reads no sample.
+    bottom_law = AxiomCheck("S-bottom-is-top")
+    bottom_law.record(k, k.eq(k._s(bot), top), (bot,), "S(bottom) != top")
+
+    for _ in range(samples):
+        x = k.sample(rng)
+        y = k.sample(rng)
+        z = k.sample(rng)
+        k._require(x, y, z)
+
+        fxy = k._f(x, y)
+        law["F-symmetry"].record(k, k.eq(fxy, k._f(y, x)), (x, y), "F(x,y) != F(y,x)")
+        law["F-associativity"].record(
+            k, k.eq(k._f(fxy, z), k._f(x, k._f(y, z))), (x, y, z), "F(F(x,y),z) != F(x,F(y,z))"
+        )
+
+        gxy = g_try(x, y)
+        gyx = g_try(y, x)
+        if gxy is not None or gyx is not None:
+            law["G-symmetry"].record(
+                k,
+                gxy is not None and gyx is not None and k.eq(gxy, gyx),
+                (x, y),
+                "G(x,y) and G(y,x) differ or one side is undefined",
+            )
+
+        left = g_try(gxy, z) if gxy is not None else None
+        gyz = g_try(y, z)
+        right = g_try(x, gyz) if gyz is not None else None
+        if left is not None or right is not None:
+            law["G-associativity"].record(
+                k,
+                left is not None and right is not None and k.eq(left, right),
+                (x, y, z),
+                "G(G(x,y),z) and G(x,G(y,z)) differ or one side is undefined",
+            )
+
+        if gxy is not None:
+            dist = g_try(k._f(x, z), k._f(y, z))
+            law["F-over-G-distributivity"].record(
+                k,
+                dist is not None and k.eq(k._f(gxy, z), dist),
+                (x, y, z),
+                "F(G(x,y),z) != G(F(x,z),F(y,z))",
+            )
+            law["G-above-max"].record(
+                k, k.leq(x, gxy) and k.leq(y, gxy), (x, y), "G(x,y) below an argument"
+            )
+
+        law["F-below-min"].record(
+            k, k.leq(fxy, x) and k.leq(fxy, y), (x, y), "F(x,y) above an argument"
+        )
+
+        if k.lt(x, y):
+            if not k.eq(z, bot):
+                law["F-monotonicity"].record(
+                    k,
+                    k.lt(k._f(x, z), k._f(y, z)) and k.lt(k._f(z, x), k._f(z, y)),
+                    (x, y, z),
+                    "x < y but F(x,z) !< F(y,z) with z != bottom",
+                )
+            if g_try(y, z) is not None and g_try(x, z) is not None:
+                law["G-monotonicity"].record(
+                    k, k.lt(k._g(x, z), k._g(y, z)), (x, y, z), "x < y but G(x,z) !< G(y,z)"
+                )
+            law["S-antitone"].record(
+                k, k.lt(k._s(y), k._s(x)), (x, y), "x < y but S(x) !> S(y)"
+            )
+
+        law["G-bottom-unit"].record(k, k.eq(k._g(x, bot), x), (x,), "G(x,bottom) != x")
+        law["F-bottom-absorbing"].record(k, k.eq(k._f(bot, x), bot), (x,), "F(bottom,x) != bottom")
+        law["F-top-unit"].record(k, k.eq(k._f(x, top), x), (x,), "F(x,top) != x")
+        ssx = k._s(k._s(x))
+        ok = k.eq(ssx, x)
+        law["S-involution"].record(k, ok, (x,), "" if ok else f"S(S(x)) = {k.fmt(ssx)} != x")
+        if prefixes is not None:
+            prefixes.append(_law_table(report, final=bottom_law))
+
+    law["S-bottom-is-top"] = bottom_law
+    return report
+
+
+def _law_table(report, final=None):
+    """(name, checked, witness, detail) per law; ``final`` stands in for its namesake."""
+    checks = (final if final is not None and c.name == final.name else c for c in report.checks.values())
+    return [(c.name, c.checked, c.witness, c.detail) for c in checks]
+
+
+class _CountingS:
+    """Mixin: records how many ``_s`` calls each sampled triple makes."""
+
+    def __init__(self):
+        self.s_calls = 0
+        self.starts = []  # the S-call count when each triple began sampling
+        self.draws = 0
+
+    def sample(self, rng):
+        if self.draws % 3 == 0:
+            self.starts.append(self.s_calls)
+        self.draws += 1
+        return super().sample(rng)
+
+    def _s(self, x):
+        self.s_calls += 1
+        return super()._s(x)
+
+
+class _CountingRat(_CountingS, RatKernel):
+    pass
+
+
+class _CountingBroken(_CountingS, BrokenNegationKernel):
+    pass
+
+
+class TestCheckerAgainstReference:
+    @pytest.mark.parametrize("name", ["rat", "eps", "bool", "broken-s"])
+    def test_law_by_law_equal(self, name):
+        # Every seed 0-20 runs 60 samples; the sample counts 1-60 are each
+        # run on one seed or more (seed s also runs s+1, s+22 and s+43).
+        k = get_kernel(name)
+        for seed in range(21):
+            prefixes = []
+            want = reference_check_axioms(k, 60, seed, prefixes)
+            got = check_axioms(k, 60, seed)
+            assert got.format_lines() == want.format_lines()
+            assert _law_table(got) == _law_table(want) == prefixes[-1]
+            for samples in range(seed + 1, 60, 21):
+                assert _law_table(check_axioms(k, samples, seed)) == prefixes[samples - 1], (seed, samples)
+
+    @pytest.mark.parametrize("cls", [_CountingRat, _CountingBroken])
+    def test_at_most_six_complements_per_triple(self, cls):
+        for seed in range(5):
+            k = cls()
+            check_axioms(k, samples=200, seed=seed)
+            per_triple = [b - a for a, b in zip(k.starts, k.starts[1:] + [k.s_calls - 1])]
+            assert len(per_triple) == 200
+            assert max(per_triple) <= 6, per_triple  # plus the one S(bottom) at the end
+            assert min(per_triple) >= 4  # S(x), S(y), S(z) and S(S(x)) are always needed
+
+
+class TestArchimedeanBounds:
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_n_max_below_one_refused(self, rat_kernel, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            archimedean_check(rat_kernel, Fr(2, 3), n_max)
+
+    def test_foreign_values_are_domain_errors(self, rat_kernel, eps_kernel):
+        for k, e in ((rat_kernel, "1/2"), (rat_kernel, const(Fr(1, 2))), (rat_kernel, 0.5),
+                     (eps_kernel, "1/2"), (eps_kernel, Fr(1, 2))):
+            with pytest.raises(DomainError):
+                archimedean_check(k, e, 8)
+
+    def test_found_never_exceeds_n_max(self, rat_kernel):
+        for n_max in range(1, 12):
+            r = archimedean_check(rat_kernel, Fr(1, 10), n_max)
+            assert (r.found, r.n) == ((True, 10) if n_max >= 10 else (False, None))
+
+    def test_bit_search_matches_literal_iteration_at_power_edges(self, rat_kernel, eps_kernel):
+        bounds = sorted({1, 2, 3} | {b for j in range(1, 10) for b in (2**j - 1, 2**j, 2**j + 1)})
+        values = {
+            rat_kernel: [Fr(1), Fr(1, 2), Fr(1, 3), Fr(2, 3), Fr(1, 7), Fr(1, 64), Fr(1, 255),
+                         Fr(1, 256), Fr(1, 257), Fr(3, 1000), Fr(1, 600)],
+            eps_kernel: [EPS, EPS * EPS, EPS * 3, const(Fr(1, 4)), const(Fr(1, 4)) + EPS,
+                         const(Fr(1, 4)) - EPS, const(Fr(1, 128)) - EPS * EPS,
+                         const(Fr(1, 511)) + EPS, ONE - EPS],
+        }
+        for k, es in values.items():
+            for e in es:
+                for n_max in bounds:
+                    want = archimedean_oracle(k, e, n_max)
+                    got = archimedean_check(k, e, n_max)
+                    assert (got.found, got.n) == (want is not None, want), (e, n_max)
+                    if got.found:
+                        assert got.n <= n_max

@@ -375,3 +375,19 @@ class TestCliExitCodes:
         assert dispatch(["scenario-law", "--kernel", "rat", "--law", "distrib",
                          "1/6", "1/3", "1/2"]) == 0
         assert "[agree]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_embed_without_samples_is_usage_error(self, capsys, samples):
+        assert dispatch(["embed", "--kernel", "rat", "--samples", samples]) == 2
+        assert capsys.readouterr() == ("", "error: samples must be >= 1\n")
+
+    def test_scenario_law_on_bool_kernel(self, capsys):
+        law = ["scenario-law", "--kernel", "bool", "--law", "comm_G"]
+        assert dispatch([*law, "1", "0"]) == 0
+        assert capsys.readouterr().out == "comm_G: left=True right=True [agree]\n"
+        assert dispatch([*law, "1", "1"]) == 1  # True and True cannot be exclusive
+        assert capsys.readouterr().err == (
+            "finding: scenario undefined: exclusivity impossible: True exceeds S(True)\n"
+        )
+        assert dispatch([*law, "1/2", "0"]) == 1
+        assert capsys.readouterr().err == "finding: EpsRational('1/2') is not a bool-kernel value\n"
