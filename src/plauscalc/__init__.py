@@ -49,7 +49,6 @@ from .embedding import (
     Embedding,
     FieldElem,
     Frac,
-    UnitSearchError,
     verify_embedding,
 )
 from .credal import (

@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .credal import ImpossibleEventError, IncompatibleCredalError
-from .embedding import UnitSearchError, verify_embedding
+from .embedding import verify_embedding
 from .evidence import SelectionBudgetError, TotalConflictError, run_gelman
 from .kernels import DomainError, UndefinedSumError, check_axioms, get_kernel
 from .parser import parse_eps_expr
@@ -31,7 +31,6 @@ _SEMANTIC_ERRORS = (
     UndefinedSumError,
     ScenarioUndefinedError,
     SelectionBudgetError,
-    UnitSearchError,
     DomainError,
 )
 _USAGE_ERRORS = (ValueError, OSError, ZeroDivisionError)

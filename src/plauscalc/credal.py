@@ -1,8 +1,10 @@
 """Families of exact extended-probability distributions over a finite space.
 
-A credal set here is a finite *indexed family* of distributions (its extreme
-points), not a convex body: the comparison order, conditioning, combination
-and decomposition below are all componentwise, one component per index.
+A credal set here is a finite *indexed family* of distributions, not a convex
+body.  The family translated from a body of evidence contains every extreme
+point of the convex set and may contain interior points too.  The comparison
+order, conditioning, combination and decomposition below are all
+componentwise, one component per index.
 Probabilities are exact eps-field values, so conditioning on an event of
 infinitesimal probability is ordinary division rather than a failure case.
 

@@ -41,10 +41,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Optional
 
-from .kernels import AxiomCheck, Kernel, TrivialKernelError
+from .kernels import AxiomCheck, Kernel, TrivialKernelError, UndefinedSumError
 
 __all__ = [
-    "UnitSearchError",
     "Frac",
     "Diff",
     "FieldElem",
@@ -54,14 +53,6 @@ __all__ = [
 ]
 
 Value = Any
-
-
-class UnitSearchError(RuntimeError):
-    """The scaling unit did not keep a sum defined.
-
-    With the default unit this happens only on the trivial kernel (1 + 1), or
-    on a kernel that breaks a law the proof in :meth:`Embedding.frac_add` uses.
-    """
 
 
 @dataclass(frozen=True)
@@ -200,8 +191,8 @@ class Embedding:
         antitone.  So S(t2) >= S(c) >= c >= t1, which is G's domain.
 
         With ``unit`` given, that scaling is used instead.  If G is undefined
-        at the unit (on the trivial kernel, [1,1] + [1,1]), the sum raises
-        :class:`UnitSearchError`.
+        at the unit (on the trivial kernel, [1,1] + [1,1], or on a kernel that
+        breaks a law this proof uses), the sum raises :class:`UndefinedSumError`.
         """
         k = self.kernel
         if unit is None:
@@ -211,7 +202,7 @@ class Embedding:
         t1 = k._f(unit, k._f(x.a, y.b))
         t2 = k._f(unit, k._f(y.a, x.b))
         if not k._g_defined(t1, t2):
-            raise UnitSearchError("summation unit exhausted")
+            raise UndefinedSumError("summation unit exhausted")
         return Frac(k._g(t1, t2), k._f(unit, k._f(x.b, y.b)))
 
     # -- difference layer -----------------------------------------------------------

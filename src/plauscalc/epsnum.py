@@ -29,8 +29,9 @@ Arithmetic on canonical values runs on ``int`` only:
   constant terms are summed as integers over the lcm of their denominators
   and reduced by one gcd at the end, and the other terms fold with ``+``.
 
-:class:`EpsPolynomial` also takes rational (``Fraction``) coefficients;
-:class:`EpsRational` clears their denominators on entry.
+:class:`EpsRational` also takes rational (``Fraction``) coefficients and
+clears their denominators on entry.  :class:`EpsPolynomial` is the read-only,
+integer-only view of a value's numerator or denominator.
 
 All values are immutable and all operations are pure.
 """
@@ -60,8 +61,6 @@ __all__ = [
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-_Coeff = Union[int, Fraction]
-
 
 class InfiniteValueError(ArithmeticError):
     """Raised when a finite-only operation meets an infinite value."""
@@ -90,7 +89,7 @@ def exact_str(x: object) -> str:
         raise DigitLimitError() from None
 
 
-def _as_coeff(x: _Coeff) -> _Coeff:
+def _as_coeff(x: Union[int, Fraction]) -> Union[int, Fraction]:
     """An exact coefficient: ``int``, or ``Fraction`` when not integral."""
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
@@ -99,10 +98,19 @@ def _as_coeff(x: _Coeff) -> _Coeff:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _as_int(x: Union[int, Fraction]) -> int:
+    """An integral coefficient as ``int``."""
+    c = _as_coeff(x)
+    if isinstance(c, Fraction):
+        raise TypeError(f"expected an integral coefficient, got {c}")
+    return c
+
+
 # -- coefficient sequences, ascending by power ----------------------------------
 #
-# The helpers below work on any exact coefficients; on canonical values they
-# only ever see ``int``.  Nonzero inputs are trimmed (last coefficient nonzero).
+# Nonzero inputs are trimmed (last coefficient nonzero).  Only ``_trim`` and
+# ``_primitive`` see ``Fraction`` coefficients, on entry to ``EpsRational``;
+# the other helpers see ``int`` only.
 
 
 def _trim(cs: list) -> list:
@@ -253,18 +261,18 @@ def _exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 class EpsPolynomial:
-    """Polynomial in ``eps``, coefficients ascending by power, trailing nonzero.
+    """Integer polynomial in ``eps``, coefficients ascending by power, trailing nonzero.
 
-    Coefficients are ``int``, or ``Fraction`` where not integral.  The empty
+    The read-only view of a value's numerator or denominator.  The empty
     coefficient sequence is the zero polynomial.
     """
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[_Coeff, ...]
+    coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[_Coeff] = ()):
-        _set_coeffs(self, tuple(_trim([_as_coeff(c) for c in coeffs])))
+    def __init__(self, coeffs: Iterable[int] = ()):
+        _set_coeffs(self, tuple(_trim([_as_int(c) for c in coeffs])))
 
     def __setattr__(self, name, value):
         raise AttributeError("EpsPolynomial is immutable")
@@ -288,14 +296,6 @@ class EpsPolynomial:
                 return i
         return -1
 
-    @property
-    def lowest_coeff(self) -> _Coeff:
-        return _lowest(self.coeffs)
-
-    @property
-    def leading_coeff(self) -> _Coeff:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -306,49 +306,6 @@ class EpsPolynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    # -- ring operations ---------------------------------------------------
-
-    # Sums, products and quotients of Fractions may be integral: the public
-    # constructor turns those coefficients back into ``int``.
-
-    def __add__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        return EpsPolynomial(_padd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        return EpsPolynomial(_padd(self.coeffs, _pneg(other.coeffs)))
-
-    def __neg__(self) -> "EpsPolynomial":
-        return _poly(_pneg(self.coeffs))
-
-    def __mul__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        return EpsPolynomial(_pmul(self.coeffs, other.coeffs))
-
-    def scale(self, k: _Coeff) -> "EpsPolynomial":
-        return EpsPolynomial(_pmul(self.coeffs, (k,)) if k else ())
-
-    def divmod(self, other: "EpsPolynomial") -> tuple["EpsPolynomial", "EpsPolynomial"]:
-        """Polynomial long division; exact rational arithmetic."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero")
-        rem = list(self.coeffs)
-        dlead = other.leading_coeff
-        dd = other.degree
-        if len(rem) - 1 < dd:
-            return _P_ZERO, self
-        quot = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = Fraction(c, dlead)
-            quot[i - dd] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - dd + j] -= q * b
-        return EpsPolynomial(quot), EpsPolynomial(rem)
-
-    def __mod__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        return self.divmod(other)[1]
 
     def eval_at(self, t: Fraction) -> Fraction:
         """Exact evaluation by Horner's rule."""
@@ -390,14 +347,13 @@ _new = object.__new__
 _set_coeffs = EpsPolynomial.coeffs.__set__
 
 
-def _poly(cs: Sequence[_Coeff]) -> EpsPolynomial:
-    # Internal: coefficients already exact and trimmed.
+def _poly(cs: Sequence[int]) -> EpsPolynomial:
+    # Internal: coefficients already ``int`` and trimmed.
     p = _new(EpsPolynomial)
     _set_coeffs(p, tuple(cs))
     return p
 
 
-_P_ZERO = _poly(())
 _P_ONE = _poly((1,))
 
 
@@ -469,11 +425,10 @@ class EpsRational:
         num: Union[EpsPolynomial, Iterable, int, Fraction] = 0,
         den: Union[EpsPolynomial, Iterable, int, Fraction] = 1,
     ):
-        n = num if isinstance(num, EpsPolynomial) else _to_poly(num)
-        d = den if isinstance(den, EpsPolynomial) else _to_poly(den)
+        n, d = _coeff_list(num), _coeff_list(den)
         # Clear the coefficient denominators of both parts at once.
-        cs = _primitive(n.coeffs + d.coeffs)
-        x = _canonical(cs[: len(n.coeffs)], cs[len(n.coeffs) :])
+        cs = _primitive(n + d)
+        x = _canonical(cs[: len(n)], cs[len(n) :])
         _set_num(self, x.num)
         _set_den(self, x.den)
 
@@ -645,7 +600,7 @@ class EpsRational:
         """A positive rational b such that sign(self at t) == self.sign() for 0 < t < b."""
         if self.is_zero:
             return _F1
-        return positive_root_lower_bound(self.num * self.den)
+        return positive_root_lower_bound(_poly(_pmul(self.num.coeffs, self.den.coeffs)))
 
     # -- display ----------------------------------------------------------------
 
@@ -677,10 +632,13 @@ def _make(num: Sequence[int], den: Sequence[int]) -> EpsRational:
     return x
 
 
-def _to_poly(x) -> EpsPolynomial:
+def _coeff_list(x) -> list:
+    """A trimmed list of exact coefficients from a polynomial, an iterable or a scalar."""
+    if isinstance(x, EpsPolynomial):
+        return list(x.coeffs)
     if isinstance(x, (int, Fraction)):
-        return EpsPolynomial((x,))
-    return EpsPolynomial(x)
+        x = (x,)
+    return _trim([_as_coeff(c) for c in x])
 
 
 def _coerce(x) -> EpsRational:

@@ -135,9 +135,11 @@ def bel_pl(m: MassFunction, event: SetLike) -> tuple[EpsRational, EpsRational]:
 def mass_to_credal(m: MassFunction) -> CredalSet:
     """All distributions obtained by sending each focal mass to one of its atoms.
 
-    One distribution per selection function, duplicates removed; these are the
-    extreme points of the credal set the body of evidence describes, and their
-    envelopes reproduce belief and plausibility.  Raises
+    One distribution per selection function, duplicates removed.  They contain
+    every extreme point of the credal set the body of evidence describes, and
+    may contain interior points too: focal sets {a,b}, {b,c} and {a,c} at 1/3
+    each give the uniform distribution.  Their envelopes reproduce belief and
+    plausibility.  Raises
     :class:`SelectionBudgetError` above :data:`MAX_COMBINED_MEMBERS` selection
     functions.
     """
@@ -153,17 +155,19 @@ def mass_to_credal(m: MassFunction) -> CredalSet:
     seen: dict[tuple[EpsRational, ...], None] = {}
     choices = [m.frame.atom_indices(mask) for mask, _ in m.focal]
 
-    def build(i: int, acc: list[EpsRational]) -> None:
+    # Depth first over an explicit stack (one level per focal set), children
+    # pushed in reverse so that selections are visited in atom order.
+    stack = [(0, [ZERO] * n)]
+    while stack:
+        i, acc = stack.pop()
         if i == len(choices):
             seen.setdefault(tuple(acc), None)
-            return
+            continue
         _, mass = m.focal[i]
-        for atom in choices[i]:
+        for atom in reversed(choices[i]):
             nxt = list(acc)
             nxt[atom] = nxt[atom] + mass
-            build(i + 1, nxt)
-
-    build(0, [ZERO] * n)
+            stack.append((i + 1, nxt))
     dists = [ExtDist(m.frame, probs) for probs in seen]
     return CredalSet(m.frame, dists)
 

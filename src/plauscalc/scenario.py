@@ -121,6 +121,8 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(path, f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ScenarioError(path, "invalid JSON: nested too deeply") from None
     return parse_scenario(doc)
 
 
@@ -129,8 +131,9 @@ def parse_scenario(doc: Any) -> Scenario:
         raise ScenarioError("$", "document must be a JSON object")
     if "frame" not in doc:
         raise ScenarioError("$", "missing 'frame'")
+    atoms = _string_list(doc["frame"], "frame")
     try:
-        frame = Frame(_string_list(doc["frame"], "frame"))
+        frame = Frame(atoms)
     except ValueError as exc:
         raise ScenarioError("frame", str(exc)) from exc
 

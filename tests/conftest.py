@@ -10,18 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from plauscalc.epsnum import EpsPolynomial, EpsRational
+from plauscalc.epsnum import EpsRational
 from plauscalc.kernels import get_kernel
 
 
-def rand_poly(rng: random.Random, max_deg: int, bound: int = 100, nonzero: bool = False) -> EpsPolynomial:
+def rand_poly(rng: random.Random, max_deg: int, bound: int = 100, nonzero: bool = False) -> list[Fraction]:
+    """Rational coefficients, ascending and trimmed: the input form ``EpsRational`` takes."""
     while True:
         deg = rng.randint(0, max_deg)
-        p = EpsPolynomial(
-            Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-            for _ in range(deg + 1)
-        )
-        if not (nonzero and p.is_zero):
+        p = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(deg + 1)]
+        while p and p[-1] == 0:
+            p.pop()
+        if p or not nonzero:
             return p
 
 

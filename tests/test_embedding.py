@@ -16,7 +16,6 @@ from plauscalc.embedding import (
     Diff,
     Embedding,
     Frac,
-    UnitSearchError,
     verify_embedding,
 )
 from plauscalc.epsnum import EPS, ONE, ZERO, const
@@ -25,6 +24,7 @@ from plauscalc.kernels import (
     DomainError,
     RatKernel,
     TrivialKernelError,
+    UndefinedSumError,
     get_kernel,
 )
 
@@ -103,7 +103,7 @@ class TestScalingUnit:
 
     def test_trivial_kernel_one_plus_one_is_undefined(self, bool_kernel):
         emb = Embedding(bool_kernel)
-        with pytest.raises(UnitSearchError, match="summation unit exhausted"):
+        with pytest.raises(UndefinedSumError, match="summation unit exhausted"):
             emb.frac_add(emb.frac_one, emb.frac_one)
 
 

@@ -7,8 +7,10 @@ combination, and for any mass function the envelopes of its credal
 translation must equal Bel/Pl on singletons.
 """
 
+import itertools
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from plauscalc.evidence import (
     mass_to_credal,
     run_gelman,
 )
+from plauscalc.scenario import load_scenario
 
 OMEGA = Frame(("BC", "BnC", "nBC", "nBnC"))
 
@@ -210,6 +213,31 @@ class TestMassToCredal:
                         bel.standard_part(),
                         pl.standard_part(),
                     )
+
+    def test_marginal_vectors_are_members_and_envelopes_are_bel_pl(self):
+        # Oracles that bypass the selection functions: for every ordering of
+        # the atoms, sending each focal mass to its first atom under that
+        # ordering gives a marginal vector, an extreme point of the credal
+        # set; Bel and Pl of an event are summed straight from the focal sets.
+        scenarios = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+        bodies = [m for f in scenarios for m in load_scenario(str(f)).bodies.values()]
+        rng = random.Random(17)
+        bodies += [rand_mass(rng, Frame(tuple("abcde"[: rng.randint(1, 5)]))) for _ in range(200)]
+        for m in bodies:
+            n = m.frame.size
+            c = mass_to_credal(m)
+            members = {d.probs for d in c.dists}
+            for order in itertools.permutations(range(n)):
+                p = [ZERO] * n
+                for mask, v in m.focal:
+                    first = next(i for i in order if mask >> i & 1)
+                    p[first] = p[first] + v
+                assert tuple(p) in members, (str(m), order)
+            for ev in range(1 << n):
+                bel = sum(v.standard_part() for mask, v in m.focal if mask & ~ev == 0)
+                pl = sum(v.standard_part() for mask, v in m.focal if mask & ev)
+                assert envelopes(c, m.frame.names_of(ev)) == (bel, pl), (str(m), ev)
+                assert tuple(x.standard_part() for x in bel_pl(m, ev)) == (bel, pl)
 
 
 class TestGelmanScenario:

@@ -371,6 +371,26 @@ class TestCliExitCodes:
     def test_missing_file_is_exit_2(self):
         assert dispatch(["scenario", "run", "/nonexistent/file.json"]) == 2
 
+    def test_deeply_nested_json_is_one_line_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100_000 + "]" * 100_000)
+        assert dispatch(["scenario", "run", str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {f}: invalid JSON: nested too deeply\n")
+
+    def test_frame_that_is_not_a_list_names_its_path_once(self, capsys, tmp_path):
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, {"frame": "ab"})]) == 2
+        assert capsys.readouterr() == ("", "error: frame: expected a list of strings\n")
+
+    def test_credal_translation_of_many_focal_sets_runs(self, capsys, tmp_path):
+        # one singleton focal set per atom: one selection function, 1,200 levels deep
+        atoms = [f"a{i}" for i in range(1200)]
+        body = {"name": "m", "masses": [{"set": [a], "mass": "1/1200"} for a in atoms]}
+        doc = {"frame": atoms, "bodies": [body], "queries": [{"op": "mass-to-credal", "body": "m"}]}
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("mass-to-credal m: 1 members\n")
+        assert out.count("member {") == 1
+
     def test_scenario_law(self, capsys):
         assert dispatch(["scenario-law", "--kernel", "rat", "--law", "distrib",
                          "1/6", "1/3", "1/2"]) == 0
