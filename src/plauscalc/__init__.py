@@ -36,7 +36,6 @@ from .kernels import (
     separability_check,
 )
 from .refinement import (
-    Event,
     ExclusivityError,
     Model,
     RefinementError,

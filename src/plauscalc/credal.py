@@ -18,9 +18,8 @@ and spread and a profile vector spanning exactly [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .epsnum import ONE, EpsRational, as_eps, sum_values
 
@@ -53,15 +52,23 @@ class IncompatibleCredalError(ValueError):
     """Combination annihilated every index pair."""
 
 
-@dataclass(frozen=True)
-class Frame:
+class _Frozen:
+    """Base of the slotted values whose ``__init__`` sets every attribute once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Frame(_Frozen):
     """Finite ordered frame of mutually exclusive outcomes.
 
     Credal sets index their distributions by it; bodies of evidence encode
     subsets of it as bitmasks, bit ``i`` standing for ``atoms[i]``.
     """
 
-    atoms: tuple[str, ...]
+    __slots__ = ("atoms",)
 
     def __init__(self, atoms: Iterable[str]):
         atoms = tuple(atoms)
@@ -111,12 +118,10 @@ class Frame:
         return "{" + ",".join(self.names_of(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class ExtDist:
+class ExtDist(_Frozen):
     """One exact distribution: nonnegative values summing to exactly 1."""
 
-    space: Frame
-    probs: tuple[EpsRational, ...]
+    __slots__ = ("space", "probs")
 
     def __init__(self, space: Frame, probs):
         if isinstance(probs, Mapping):
@@ -138,6 +143,14 @@ class ExtDist:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "probs", values)
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ExtDist):
+            return self.space.atoms == other.space.atoms and self.probs == other.probs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space.atoms, self.probs))
+
     def prob(self, atom: str) -> EpsRational:
         return self.probs[self.space.index(atom)]
 
@@ -150,12 +163,10 @@ class ExtDist:
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True)
-class CredalSet:
+class CredalSet(_Frozen):
     """Nonempty indexed family of distributions over one frame."""
 
-    space: Frame
-    dists: tuple[ExtDist, ...]
+    __slots__ = ("space", "dists")
 
     def __init__(self, space: Frame, dists: Iterable[ExtDist]):
         dists = tuple(dists)
@@ -178,7 +189,7 @@ class CredalSet:
         return cls(dists[0].space, dists)
 
 
-class PlausVector:
+class PlausVector(_Frozen):
     """One eps-field value per index of a credal family, ordered componentwise."""
 
     __slots__ = ("components",)
@@ -188,9 +199,6 @@ class PlausVector:
         if not comps:
             raise ValueError("empty plausibility vector")
         object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlausVector is immutable")
 
     def __len__(self) -> int:
         return len(self.components)
@@ -269,8 +277,7 @@ def event_plausibility(c: CredalSet, event: Iterable[str]) -> PlausVector:
     return PlausVector([d.event_prob(ev) for d in c.dists])
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     verdict: str  # yes | no | incomparable
     equal: bool = False
 
@@ -345,8 +352,7 @@ def envelopes(c: CredalSet, event: Iterable[str]) -> tuple[Fraction, Fraction]:
     return min(parts), max(parts)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """p = lower + profile * spread, componentwise.
 
     ``lower`` and ``spread`` are precise (all-components-equal) values: the

@@ -11,6 +11,10 @@ using only F, G, S and the order:
 3. :class:`FieldElem` -- quotients of differences, the field of fractions of
    that domain.
 
+``==`` on a ``Frac`` or ``Diff`` compares representatives, as on any named
+tuple; the equality of classes is :meth:`Embedding.frac_eq` and
+:meth:`Embedding.diff_eq`.  ``==`` on a ``FieldElem`` is class equality.
+
 Addition at the quotient level multiplies both operands by one scaling unit,
 ``c = min(e, S(e))`` for a nontrivial element ``e`` (``top`` on the trivial
 kernel), so the kernel sum stays inside G's domain.  One unit suffices: both
@@ -37,9 +41,8 @@ operation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .kernels import AxiomCheck, Kernel, TrivialKernelError, UndefinedSumError
 
@@ -55,16 +58,14 @@ __all__ = [
 Value = Any
 
 
-@dataclass(frozen=True)
-class Frac:
+class Frac(NamedTuple):
     """Formal quotient [a, b] of kernel values, b nonzero."""
 
     a: Value
     b: Value
 
 
-@dataclass(frozen=True)
-class Diff:
+class Diff(NamedTuple):
     """Formal difference [[pos, neg]] of two quotients."""
 
     pos: Frac
@@ -237,11 +238,6 @@ class Embedding:
 
     # -- field layer --------------------------------------------------------------------
 
-    def field(self, num: Diff, den: Diff) -> FieldElem:
-        if self.diff_sign(den) == 0:
-            raise ZeroDivisionError("field element with zero denominator")
-        return FieldElem(num, den, self)
-
     def field_eq(self, x: FieldElem, y: FieldElem) -> bool:
         return self.diff_eq(self.diff_mul(x.num, y.den), self.diff_mul(y.num, x.den))
 
@@ -282,8 +278,7 @@ class Embedding:
         return FieldElem(self.diff_of(Frac(x, self.kernel.top)), self.diff_one, self)
 
 
-@dataclass
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     kernel: str
     samples: int
     seed: int

@@ -19,11 +19,10 @@ routes famously disagree and reports both answers with exact envelopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
-from .credal import CredalSet, ExtDist, Frame, Prob, SetLike, combine_laplace, envelopes
+from .credal import CredalSet, ExtDist, Frame, Prob, SetLike, _Frozen, combine_laplace, envelopes
 from .epsnum import ONE, ZERO, EpsRational, as_eps, sum_products, sum_values
 
 __all__ = [
@@ -55,16 +54,15 @@ class SelectionBudgetError(ValueError):
     members or focal sets."""
 
 
-@dataclass(frozen=True)
-class MassFunction:
+class MassFunction(_Frozen):
     """Body of evidence: positive masses on nonempty subsets, summing to 1.
 
     ``masses`` maps subsets to masses, or lists (subset, mass) pairs; the
-    masses given for one subset add up.
+    masses given for one subset add up.  ``focal`` holds the (mask, mass)
+    pairs sorted by mask.
     """
 
-    frame: Frame
-    focal: tuple[tuple[int, EpsRational], ...]  # sorted by mask
+    __slots__ = ("frame", "focal")
 
     def __init__(
         self, frame: Frame, masses: Union[Mapping[SetLike, Prob], Iterable[tuple[SetLike, Prob]]]
@@ -177,8 +175,7 @@ def mass_to_credal(m: MassFunction) -> CredalSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GelmanReport:
+class GelmanReport(NamedTuple):
     """Both combination routes on the boxer/wrestler/coin evidence.
 
     Events: B = the boxer wins, C = the coin lands heads; atoms name the four

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .epsnum import EPS, ONE, ZERO, EpsRational, const, exact_str
 
@@ -354,12 +353,14 @@ def get_kernel(name: str) -> Kernel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AxiomCheck:
-    name: str
-    checked: int = 0
-    witness: Optional[tuple] = None
-    detail: str = ""
+    __slots__ = ("name", "checked", "witness", "detail")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.witness: Optional[tuple] = None
+        self.detail = ""
 
     @property
     def passed(self) -> bool:
@@ -378,12 +379,14 @@ class AxiomCheck:
         return f"FAIL {self.name}: {self.detail} [witness {self.witness!r}]"
 
 
-@dataclass
 class AxiomReport:
-    kernel: str
-    samples: int
-    seed: int
-    checks: dict[str, AxiomCheck] = field(default_factory=dict)
+    __slots__ = ("kernel", "samples", "seed", "checks")
+
+    def __init__(self, kernel: str, samples: int, seed: int):
+        self.kernel = kernel
+        self.samples = samples
+        self.seed = seed
+        self.checks: dict[str, AxiomCheck] = {}
 
     @property
     def all_passed(self) -> bool:
@@ -539,8 +542,7 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArchimedeanResult:
+class ArchimedeanResult(NamedTuple):
     found: bool
     n: Optional[int] = None
     reason: Optional[str] = None
@@ -595,8 +597,7 @@ def archimedean_check(kernel: Kernel, e: Value, n_max: int) -> ArchimedeanResult
     return ArchimedeanResult(found=True, n=m + 1)
 
 
-@dataclass(frozen=True)
-class SeparabilityResult:
+class SeparabilityResult(NamedTuple):
     found: bool
     n: Optional[int] = None
     m: Optional[int] = None

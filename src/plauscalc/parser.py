@@ -34,9 +34,8 @@ violation is an :class:`EpsSyntaxError` like any other:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 from .epsnum import EPS, ZERO, EpsRational, const
 
@@ -64,11 +63,16 @@ class EpsSyntaxError(ValueError):
         self.position = position
 
 
+def _clip(value: Any) -> str:
+    """``repr(value)`` for a message that echoes input, cut to 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 # -- tokenizer ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # int | eps | op | end
     text: str
     pos: int
@@ -96,7 +100,7 @@ def _tokenize(text: str) -> list[_Token]:
                 j += 1
             word = text[i:j]
             if word != "eps":
-                raise EpsSyntaxError(f"unknown symbol {word!r}", i)
+                raise EpsSyntaxError(f"unknown symbol {_clip(word)}", i)
             tokens.append(_Token("eps", word, i))
             i = j
             continue
@@ -104,7 +108,7 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("op", ch, i))
             i += 1
             continue
-        raise EpsSyntaxError(f"unexpected character {ch!r}", i)
+        raise EpsSyntaxError(f"unexpected character {_clip(ch)}", i)
     if len(tokens) > MAX_TOKENS:
         raise EpsSyntaxError(f"more than {MAX_TOKENS} tokens", tokens[MAX_TOKENS].pos)
     tokens.append(_Token("end", "", n))
@@ -149,7 +153,7 @@ class _Parser:
         value, _ = self.expr()
         t = self.token
         if t.kind != "end":
-            raise EpsSyntaxError(f"unexpected {t.text!r}", t.pos)
+            raise EpsSyntaxError(f"unexpected {_clip(t.text)}", t.pos)
         if self.zero_division is not None:
             raise self.zero_division
         return value

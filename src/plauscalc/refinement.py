@@ -20,9 +20,8 @@ values with the kernel's unchecked ``_f``, ``_s`` and ``_g_sum``.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .kernels import Kernel, UndefinedSumError
 
@@ -30,7 +29,6 @@ __all__ = [
     "RefinementError",
     "ExclusivityError",
     "ScenarioUndefinedError",
-    "Event",
     "Model",
     "TWO_PATH_LAWS",
     "two_path_eval",
@@ -51,26 +49,14 @@ class ScenarioUndefinedError(ValueError):
     """A derivation path required a sum outside G's domain."""
 
 
-@dataclass(frozen=True)
-class Event:
-    name: str
-    parent: Optional[str]  # None only for the root context
-
-
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     kernel: Kernel
-    root: str = "ROOT"
-    events: dict[str, Event] = field(default_factory=dict)
-    values: dict[str, Value] = field(default_factory=dict)  # event | its parent
+    parents: Mapping[str, str] = MappingProxyType({})  # event -> its parent event
+    values: Mapping[str, Value] = MappingProxyType({})  # event | its parent
     independent: frozenset[frozenset[str]] = frozenset()
     exclusive: frozenset[frozenset[str]] = frozenset()
 
-    def __post_init__(self):
-        if self.root not in self.events:
-            events = dict(self.events)
-            events[self.root] = Event(self.root, None)
-            object.__setattr__(self, "events", events)
+    root = "ROOT"  # the context every event refines; it has no parent
 
     # -- construction ---------------------------------------------------------
 
@@ -92,25 +78,19 @@ class Model:
             raise RefinementError(f"{p!r} is not a {k.name}-kernel value")
         independent = set(self.independent)
         for other in independent_of:
-            if other not in self.events:
+            if other != self.root and other not in self.parents:
                 raise RefinementError(f"unknown event {other!r}")
             independent.add(frozenset((name, other)))
-        events = dict(self.events)
-        events[name] = Event(name, parent)
-        values = dict(self.values)
-        values[name] = p
-        return replace(
-            self, events=events, values=values, independent=frozenset(independent)
+        return self._replace(
+            parents={**self.parents, name: parent},
+            values={**self.values, name: p},
+            independent=frozenset(independent),
         )
 
     def refine_exclusive_pair(
-        self,
-        parent: str,
-        x: Value,
-        y: Value,
-        names: Optional[tuple[str, str]] = None,
+        self, parent: str, x: Value, y: Value, names: tuple[str, str]
     ) -> "Model":
-        """Add two exclusive subcases of ``parent`` with plausibilities x and y."""
+        """Add exclusive subcases ``names`` of ``parent`` with plausibilities x and y."""
         k = self.kernel
         if not k.contains(x) or not k.contains(y):
             raise RefinementError("values outside the kernel domain")
@@ -118,18 +98,15 @@ class Model:
             raise ExclusivityError(
                 f"exclusivity impossible: {k.fmt(x)} exceeds S({k.fmt(y)})"
             )
-        if names is None:
-            stem = itertools.count(len(self.events))
-            names = (f"{parent}.c{next(stem)}", f"{parent}.c{next(stem)}")
         a, b = names
         m = self.refine_subcase(parent, a, x)
         m = m.refine_subcase(parent, b, y)
-        return replace(m, exclusive=m.exclusive | {frozenset((a, b))})
+        return m._replace(exclusive=m.exclusive | {frozenset((a, b))})
 
     def _check_new(self, parent: str, name: str) -> None:
-        if parent not in self.events:
+        if parent != self.root and parent not in self.parents:
             raise RefinementError(f"unknown parent event {parent!r}")
-        if name in self.events:
+        if name == self.root or name in self.parents:
             raise RefinementError(f"duplicate event name {name!r}")
         pv = self.values.get(parent)
         if pv is not None and self.kernel.eq(pv, self.kernel.bottom):
@@ -193,11 +170,11 @@ class Model:
         path = []
         cur = leaf
         while cur != context:
-            ev = self.events.get(cur)
-            if ev is None or ev.parent is None:
+            parent = self.parents.get(cur)
+            if parent is None:
                 raise RefinementError(f"{context!r} is not an ancestor of {leaf!r}")
             path.append(cur)
-            cur = ev.parent
+            cur = parent
         if not path:
             raise RefinementError("empty chain")
         return path

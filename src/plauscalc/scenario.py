@@ -29,9 +29,8 @@ own exception.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .credal import (
     CredalSet,
@@ -53,7 +52,7 @@ from .evidence import (
     dempster_combine,
     mass_to_credal,
 )
-from .parser import EpsSyntaxError, parse_eps_expr
+from .parser import EpsSyntaxError, _clip, parse_eps_expr
 
 __all__ = [
     "ScenarioError",
@@ -78,27 +77,25 @@ class ScenarioError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     op: str
     args: dict[str, Any]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     frame: Frame
-    bodies: dict[str, MassFunction] = field(default_factory=dict)
-    credals: dict[str, CredalSet] = field(default_factory=dict)
-    queries: tuple[Query, ...] = ()
+    bodies: dict[str, MassFunction]
+    credals: dict[str, CredalSet]
+    queries: tuple[Query, ...]
 
 
 def _number(text: Any, path: str):
     if not isinstance(text, str):
-        raise ScenarioError(path, f"numbers must be eps-expression strings, got {text!r}")
+        raise ScenarioError(path, f"numbers must be eps-expression strings, got {_clip(text)}")
     try:
         return parse_eps_expr(text)
     except (EpsSyntaxError, ZeroDivisionError) as exc:
-        raise ScenarioError(path, f"bad number {text!r}: {exc}") from exc
+        raise ScenarioError(path, f"bad number {_clip(text)}: {exc}") from exc
 
 
 def _string_list(value: Any, path: str) -> list[str]:
@@ -117,12 +114,15 @@ def _section(doc: dict, key: str) -> list:
 def load_scenario(path: str) -> Scenario:
     """Load and fully validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(path, f"invalid JSON: {exc}") from exc
-        except RecursionError:
-            raise ScenarioError(path, "invalid JSON: nested too deeply") from None
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(path, f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError(path, "invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal longer than the interpreter converts
+        raise ScenarioError(path, "invalid JSON: integer literal too long") from None
     return parse_scenario(doc)
 
 
@@ -144,7 +144,7 @@ def parse_scenario(doc: Any) -> Scenario:
         if not isinstance(name, str):
             raise ScenarioError(where, "body needs a string 'name'")
         if name in bodies:
-            raise ScenarioError(where, f"duplicate body name {name!r}")
+            raise ScenarioError(where, f"duplicate body name {_clip(name)}")
         raw = item.get("masses")
         if not isinstance(raw, list) or not raw:
             raise ScenarioError(f"{where}.masses", "expected a nonempty list")
@@ -153,11 +153,12 @@ def parse_scenario(doc: Any) -> Scenario:
             epath = f"{where}.masses[{j}]"
             if not isinstance(entry, dict) or "set" not in entry or "mass" not in entry:
                 raise ScenarioError(epath, "expected {'set': [...], 'mass': '...'}")
-            atoms = tuple(_string_list(entry["set"], f"{epath}.set"))
+            atoms = _string_list(entry["set"], f"{epath}.set")
             try:
                 mask = frame.mask_of(atoms)
-            except KeyError as exc:
-                raise ScenarioError(f"{epath}.set", str(exc.args[0])) from exc
+            except KeyError:
+                atom = next(a for a in atoms if a not in frame.atoms)
+                raise ScenarioError(f"{epath}.set", f"unknown atom {_clip(atom)}") from None
             value = _number(entry["mass"], f"{epath}.mass")
             masses.append((mask, value))
         try:
@@ -172,7 +173,7 @@ def parse_scenario(doc: Any) -> Scenario:
         if not isinstance(name, str):
             raise ScenarioError(where, "credal set needs a string 'name'")
         if name in credals:
-            raise ScenarioError(where, f"duplicate credal name {name!r}")
+            raise ScenarioError(where, f"duplicate credal name {_clip(name)}")
         raw = item.get("dists")
         if not isinstance(raw, list) or not raw:
             raise ScenarioError(f"{where}.dists", "expected a nonempty list")
@@ -184,7 +185,7 @@ def parse_scenario(doc: Any) -> Scenario:
             probs = {}
             for atom, num in entry.items():
                 if atom not in frame.atoms:
-                    raise ScenarioError(epath, f"unknown atom {atom!r}")
+                    raise ScenarioError(epath, f"unknown atom {_clip(atom)}")
                 probs[atom] = _number(num, f"{epath}.{atom}")
             for atom in frame.atoms:
                 probs.setdefault(atom, 0)
@@ -221,26 +222,28 @@ _NAME_KINDS = {
 def _check_arg(s: Scenario, kind: str, value: Any, path: str) -> None:
     if kind == "expr":
         if not isinstance(value, str):
-            raise ScenarioError(path, f"expected an eps-expression string, got {value!r}")
+            raise ScenarioError(path, f"expected an eps-expression string, got {_clip(value)}")
         return
     what, known = _NAME_KINDS[kind]
     if kind in ("body", "credal"):
         names = [value]
-    elif isinstance(value, list) and (value or kind == "event"):  # an empty event is legal
+    elif isinstance(value, list) and all(isinstance(v, str) for v in value) and (
+        value or kind == "event"  # an empty event is legal
+    ):
         names = value
     else:
         size = "" if kind == "event" else "nonempty "
         raise ScenarioError(path, f"expected a {size}list of {what} names")
     for name in names:
         if not isinstance(name, str) or name not in known(s):
-            raise ScenarioError(path, f"unknown {what} {name!r}")
+            raise ScenarioError(path, f"unknown {what} {_clip(name)}")
 
 
 def check_query(s: Scenario, q: Query, where: str) -> None:
     """Check the query's op and the arguments its schema names against the
     scenario; errors carry paths under ``where``.  Other keys are ignored."""
     if q.op not in QUERY_OPS:
-        raise ScenarioError(f"{where}.op", f"unknown operation {q.op!r}")
+        raise ScenarioError(f"{where}.op", f"unknown operation {_clip(q.op)}")
     schema, _ = QUERY_OPS[q.op]
     for key, kind in schema.items():
         if key not in q.args:

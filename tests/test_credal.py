@@ -22,6 +22,7 @@ from plauscalc.credal import (
     more_plausible,
 )
 from plauscalc.epsnum import EPS, ONE, ZERO, const
+from plauscalc.evidence import MassFunction
 
 
 AB = Frame(("a", "b"))
@@ -67,6 +68,31 @@ class TestValidation:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             CredalSet(AB, ())
+
+
+class TestImmutability:
+    def test_values_refuse_attribute_assignment(self):
+        d = dist(AB, Fr(1, 2), Fr(1, 2))
+        values = {
+            Frame: (AB, "atoms"),
+            ExtDist: (d, "probs"),
+            CredalSet: (CredalSet.of([d]), "dists"),
+            MassFunction: (MassFunction(AB, {("a",): 1}), "focal"),
+            PlausVector: (PlausVector([ONE, ZERO]), "components"),
+        }
+        for cls, (value, attr) in values.items():
+            before = getattr(value, attr)
+            for name in (attr, "extra"):
+                with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                    setattr(value, name, None)
+            assert getattr(value, attr) is before
+
+    def test_distributions_compare_by_atoms_and_probabilities(self):
+        d = dist(AB, Fr(1, 3), Fr(2, 3))
+        assert d == dist(Frame(("a", "b")), Fr(1, 3), Fr(2, 3))
+        assert hash(d) == hash(dist(Frame(("a", "b")), Fr(1, 3), Fr(2, 3)))
+        assert d != dist(AB, Fr(2, 3), Fr(1, 3))
+        assert d != dist(Frame(("b", "a")), Fr(1, 3), Fr(2, 3))
 
 
 class TestEventPlausibility:

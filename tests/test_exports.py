@@ -3,7 +3,10 @@ names the package ``__init__`` imports, so a deletion leaves no stale export."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,15 @@ def test_package_imports_resolve():
 
 def test_one_frame_type():
     assert plauscalc.Frame is plauscalc.credal.Frame is plauscalc.evidence.Frame
+
+
+@pytest.mark.parametrize("module", ["plauscalc", "plauscalc.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    src = str(Path(plauscalc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -50,6 +50,17 @@ class TestRefineSubcase:
         with pytest.raises(RefinementError):
             Model(rat_kernel).refine_subcase("ROOT", "A", Fr(3, 2))
 
+    def test_models_share_no_mutable_default(self, rat_kernel):
+        parent = Model(rat_kernel)
+        child = parent.refine_subcase("ROOT", "A", Fr(1, 2))
+        child = child.refine_exclusive_pair("A", Fr(1, 3), Fr(1, 4), names=("B", "C"))
+        for model in (parent, Model(rat_kernel)):
+            assert (dict(model.parents), dict(model.values)) == ({}, {})
+            assert model.independent == model.exclusive == frozenset()
+        assert dict(child.parents) == {"A": "ROOT", "B": "A", "C": "A"}
+        with pytest.raises(TypeError):
+            Model(rat_kernel).values["A"] = Fr(1, 2)
+
 
 class TestRefineExclusivePair:
     def test_pair_and_disjunction(self, rat_kernel):
@@ -58,7 +69,7 @@ class TestRefineExclusivePair:
 
     def test_impossible_pair(self, rat_kernel):
         with pytest.raises(ExclusivityError, match="exclusivity impossible"):
-            Model(rat_kernel).refine_exclusive_pair("ROOT", Fr(1, 2), Fr(2, 3))
+            Model(rat_kernel).refine_exclusive_pair("ROOT", Fr(1, 2), Fr(2, 3), names=("C", "C2"))
 
     def test_propositional_limit(self, bool_kernel):
         m = Model(bool_kernel).refine_exclusive_pair("ROOT", True, False, names=("C", "C2"))
@@ -78,7 +89,7 @@ class TestBoundaryChecks:
         bad = self.OUTSIDE[kernel.name]
         for x, y in ((bad, kernel.bottom), (kernel.bottom, bad)):
             with pytest.raises(RefinementError, match="outside the kernel domain"):
-                Model(kernel).refine_exclusive_pair("ROOT", x, y)
+                Model(kernel).refine_exclusive_pair("ROOT", x, y, names=("A", "B"))
 
     def test_undefined_sum_message_kept(self):
         # with S(x) = (1 - x)^2, x <= S(y) does not imply y <= S(x)
@@ -109,7 +120,7 @@ class TestRefinementMonotonicity:
 
         before = snapshot(m)
         extended = m.refine_subcase("B", "N1", Fr(1, 7))
-        extended = extended.refine_exclusive_pair("N1", Fr(1, 9), Fr(2, 9))
+        extended = extended.refine_exclusive_pair("N1", Fr(1, 9), Fr(2, 9), names=("N2", "N3"))
         assert snapshot(extended) == before
 
 

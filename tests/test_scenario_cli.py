@@ -377,6 +377,44 @@ class TestCliExitCodes:
         assert dispatch(["scenario", "run", str(f)]) == 2
         assert capsys.readouterr() == ("", f"error: {f}: invalid JSON: nested too deeply\n")
 
+    def test_integer_literal_past_digit_limit_is_one_line_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "big.json"
+        f.write_text('{"frame": [' + "1" * 5000 + "]}")
+        assert dispatch(["scenario", "run", str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {f}: invalid JSON: integer literal too long\n")
+
+    def test_nested_list_in_an_event_is_not_an_atom(self, capsys, tmp_path):
+        f = tmp_path / "nested.json"
+        doc = dict(BASE, queries=[{"op": "bel-pl", "body": "m", "event": "EVENT"}])
+        f.write_text(json.dumps(doc).replace('"EVENT"', "[" * 900 + "]" * 900))
+        assert dispatch(["scenario", "run", str(f)]) == 2
+        assert capsys.readouterr() == ("", "error: queries[0].event: expected a list of atom names\n")
+        doc = dict(BASE, queries=[{"op": "bel-pl", "body": "m", "event": ["a", 3]}])
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 2
+        assert capsys.readouterr() == ("", "error: queries[0].event: expected a list of atom names\n")
+
+    def test_long_input_is_echoed_cut_short(self, capsys, tmp_path):
+        long = "x" * 3000
+        body = {"name": "m", "masses": [{"set": ["a"], "mass": "1"}]}
+        docs = [
+            {"frame": ["a"], "queries": [{"op": "order", "left": long, "right": "1"}]},
+            {"frame": ["a"], "queries": [{"op": "order", "left": "1 " + "1" * 3000, "right": "1"}]},
+            {"frame": ["a"], "queries": [{"op": long}]},
+            {"frame": ["a"], "bodies": [body], "queries": [{"op": "bel-pl", "body": "m", "event": [long]}]},
+            {"frame": ["a"], "bodies": [{"name": "m", "masses": [{"set": [long], "mass": "1"}]}]},
+            {"frame": ["a"], "bodies": [{"name": "m", "masses": [{"set": ["a"], "mass": long}]}]},
+            {"frame": ["a"], "bodies": [{"name": "m", "masses": [{"set": ["a"], "mass": [[long]]}]}]},
+            {"frame": ["a"], "credals": [{"name": "c", "dists": [{long: "1"}]}]},
+            {"frame": ["a"], "bodies": [dict(body, name=long), dict(body, name=long)]},
+            {"frame": ["a"], "bodies": [body], "queries": [{"op": "bel-pl", "body": long, "event": []}]},
+            {"frame": ["a"], "queries": [{"op": "order", "left": [long], "right": "1"}]},
+        ]
+        for doc in docs:
+            assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and len(err) < 200, err[:300]
+            assert err.rstrip().endswith("...") and "x" * 37 not in err, err
+
     def test_frame_that_is_not_a_list_names_its_path_once(self, capsys, tmp_path):
         assert dispatch(["scenario", "run", write_scenario(tmp_path, {"frame": "ab"})]) == 2
         assert capsys.readouterr() == ("", "error: frame: expected a list of strings\n")
