@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .epsnum import ONE, EpsRational, as_eps, sum_values
+from .epsnum import ONE, EpsRational, _clip, as_eps, sum_values
 
 __all__ = [
     "ImpossibleEventError",
@@ -90,7 +90,7 @@ class Frame(_Frozen):
         try:
             return self.atoms.index(atom)
         except ValueError:
-            raise KeyError(f"unknown atom {atom!r}") from None
+            raise KeyError(f"unknown atom {_clip(atom)}") from None
 
     def event(self, atoms: Iterable[str]) -> frozenset[str]:
         ev = frozenset(atoms)
@@ -101,7 +101,7 @@ class Frame(_Frozen):
     def mask_of(self, subset: SetLike) -> int:
         if isinstance(subset, int):
             if not 0 <= subset <= self.full_mask:
-                raise KeyError(f"mask {subset} out of range")
+                raise KeyError(f"mask {_clip(subset)} out of range")
             return subset
         mask = 0
         for name in subset:
@@ -128,7 +128,10 @@ class ExtDist(_Frozen):
             missing = set(space.atoms) - set(probs)
             extra = set(probs) - set(space.atoms)
             if missing or extra:
-                raise ValueError(f"distribution atoms mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+                raise ValueError(
+                    f"distribution atoms mismatch: missing {_clip(sorted(missing))}, "
+                    f"extra {_clip(sorted(extra))}"
+                )
             values = tuple(as_eps(probs[a]) for a in space.atoms)
         else:
             values = tuple(as_eps(p) for p in probs)
@@ -136,10 +139,10 @@ class ExtDist(_Frozen):
                 raise ValueError("wrong number of probabilities")
         for a, p in zip(space.atoms, values):
             if p.sign() < 0:
-                raise ValueError(f"negative probability for {a!r}: {p}")
+                raise ValueError(f"negative probability for {_clip(a)}: {_clip(p, str)}")
         total = sum_values(values)
         if total != ONE:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+            raise ValueError(f"probabilities sum to {_clip(total, str)}, expected 1")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "probs", values)
 

@@ -29,9 +29,12 @@ Arithmetic on canonical values runs on ``int`` only:
   constant terms are summed as integers over the lcm of their denominators
   and reduced by one gcd at the end, and the other terms fold with ``+``.
 
-:class:`EpsRational` also takes rational (``Fraction``) coefficients and
-clears their denominators on entry.  :class:`EpsPolynomial` is the read-only,
-integer-only view of a value's numerator or denominator.
+A value stores its canonical numerator and denominator as two tuples of
+``int``, one object per value, and every function here reads those tuples.
+:class:`EpsPolynomial` is the read-only, integer-only view of a numerator or
+denominator, made when ``num`` or ``den`` is read.  :class:`EpsRational`
+also takes rational (``Fraction``) coefficients and clears their
+denominators on entry.
 
 All values are immutable and all operations are pure.
 """
@@ -87,6 +90,18 @@ def exact_str(x: object) -> str:
         return str(x)
     except ValueError:
         raise DigitLimitError() from None
+
+
+def _clip(value: object, text=repr) -> str:
+    """``text(value)`` for a message that echoes input, cut to 40 characters.
+
+    An integer past the digit limit shows as ``<too long to print>``.
+    """
+    try:
+        s = text(value)
+    except ValueError:
+        s = "<too long to print>"
+    return s if len(s) <= 40 else s[:37] + "..."
 
 
 def _as_coeff(x: Union[int, Fraction]) -> Union[int, Fraction]:
@@ -260,6 +275,31 @@ def _exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return q
 
 
+def _pstr(cs: Sequence[int]) -> str:
+    """Display of a polynomial in ascending powers of eps."""
+    if not cs:
+        return "0"
+    parts: list[str] = []
+    try:
+        for i, c in enumerate(cs):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if i == 0:
+                body = str(mag)
+            elif i == 1:
+                body = "eps" if mag == 1 else f"{mag}*eps"
+            else:
+                body = f"eps^{i}" if mag == 1 else f"{mag}*eps^{i}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    except ValueError:  # only the int-to-str digit limit raises here
+        raise DigitLimitError() from None
+    return " ".join(parts)
+
+
 class EpsPolynomial:
     """Integer polynomial in ``eps``, coefficients ascending by power, trailing nonzero.
 
@@ -317,27 +357,7 @@ class EpsPolynomial:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        try:
-            for i, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                mag = abs(c)
-                if i == 0:
-                    body = str(mag)
-                elif i == 1:
-                    body = "eps" if mag == 1 else f"{mag}*eps"
-                else:
-                    body = f"eps^{i}" if mag == 1 else f"{mag}*eps^{i}"
-                if not parts:
-                    parts.append(body if c > 0 else f"-{body}")
-                else:
-                    parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        except ValueError:  # only the int-to-str digit limit raises here
-            raise DigitLimitError() from None
-        return " ".join(parts)
+        return _pstr(self.coeffs)
 
     def __repr__(self) -> str:
         return f"EpsPolynomial({list(self.coeffs)!r})"
@@ -352,9 +372,6 @@ def _poly(cs: Sequence[int]) -> EpsPolynomial:
     p = _new(EpsPolynomial)
     _set_coeffs(p, tuple(cs))
     return p
-
-
-_P_ONE = _poly((1,))
 
 
 def poly_gcd(a: EpsPolynomial, b: EpsPolynomial) -> EpsPolynomial:
@@ -412,13 +429,16 @@ class EpsRational:
     """An element of the ordered field of rational functions of ``eps``.
 
     Instances are immutable, hashable, totally ordered, and always canonical;
-    ``==`` is structural equality of the canonical form.
+    ``==`` is structural equality of the canonical form.  A value stores its
+    numerator and denominator coefficients as two ``int`` tuples, ascending by
+    power; ``num`` and ``den`` return :class:`EpsPolynomial` views of them,
+    made on access.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den")
 
-    num: EpsPolynomial
-    den: EpsPolynomial
+    _num: tuple[int, ...]
+    _den: tuple[int, ...]
 
     def __init__(
         self,
@@ -429,30 +449,40 @@ class EpsRational:
         # Clear the coefficient denominators of both parts at once.
         cs = _primitive(n + d)
         x = _canonical(cs[: len(n)], cs[len(n) :])
-        _set_num(self, x.num)
-        _set_den(self, x.den)
+        _set_num(self, x._num)
+        _set_den(self, x._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("EpsRational is immutable")
+
+    @property
+    def num(self) -> EpsPolynomial:
+        """The canonical numerator."""
+        return _poly(self._num)
+
+    @property
+    def den(self) -> EpsPolynomial:
+        """The canonical denominator, positive near zero."""
+        return _poly(self._den)
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self._num
 
     def sign(self) -> int:
         """Sign taken on a punctured right neighbourhood of zero: -1, 0 or 1."""
-        c = _lowest(self.num.coeffs)
+        c = _lowest(self._num)
         return -1 if c < 0 else (0 if c == 0 else 1)
 
     def is_finite(self) -> bool:
         """True unless the value grows without bound as eps shrinks."""
-        return self.is_zero or self.den.coeffs[0] != 0
+        return not self._num or self._den[0] != 0
 
     def is_infinitesimal(self) -> bool:
         """Nonzero, yet smaller in magnitude than every positive rational."""
-        return not self.is_zero and self.is_finite() and self.num.coeffs[0] == 0
+        return not self.is_zero and self.is_finite() and self._num[0] == 0
 
     def standard_part(self) -> Fraction:
         """Value at eps = 0; defined only for finite elements."""
@@ -460,10 +490,10 @@ class EpsRational:
             raise InfiniteValueError("infinite")
         if self.is_zero:
             return _F0
-        return Fraction(self.num.coeffs[0], self.den.coeffs[0])
+        return Fraction(self._num[0], self._den[0])
 
     def is_constant(self) -> bool:
-        return len(self.num.coeffs) <= 1 and len(self.den.coeffs) == 1
+        return len(self._num) <= 1 and len(self._den) == 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -471,7 +501,7 @@ class EpsRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum(self.num.coeffs, self.den.coeffs, other.num.coeffs, other.den.coeffs)
+        return _sum(self._num, self._den, other._num, other._den)
 
     __radd__ = __add__
 
@@ -479,7 +509,7 @@ class EpsRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum(self.num.coeffs, self.den.coeffs, _pneg(other.num.coeffs), other.den.coeffs)
+        return _sum(self._num, self._den, _pneg(other._num), other._den)
 
     def __rsub__(self, other: _Coercible) -> "EpsRational":
         other = _coerce(other)
@@ -488,14 +518,14 @@ class EpsRational:
         return other - self
 
     def __neg__(self) -> "EpsRational":
-        return _make(_pneg(self.num.coeffs), self.den.coeffs)
+        return _make(_pneg(self._num), self._den)
 
     def __mul__(self, other: _Coercible) -> "EpsRational":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        na, da = self.num.coeffs, self.den.coeffs
-        nb, db = other.num.coeffs, other.den.coeffs
+        na, da = self._num, self._den
+        nb, db = other._num, other._den
         if not na or not nb:
             return ZERO
         if len(na) == len(da) == len(nb) == len(db) == 1:
@@ -515,7 +545,7 @@ class EpsRational:
     def reciprocal(self) -> "EpsRational":
         if self.is_zero:
             raise ZeroDivisionError("division by zero")
-        num, den = self.den.coeffs, self.num.coeffs
+        num, den = self._den, self._num
         if _lowest(den) < 0:
             num, den = _pneg(num), _pneg(den)
         return _make(num, den)
@@ -557,13 +587,13 @@ class EpsRational:
             raise TypeError("cannot compare EpsRational with that type")
         # Denominators are positive near 0+, so only the numerator cross
         # difference decides the sign; no canonicalization needed.
-        return _cross_sign(self.num.coeffs, other.den.coeffs, other.num.coeffs, self.den.coeffs)
+        return _cross_sign(self._num, other._den, other._num, self._den)
 
     def __eq__(self, other) -> bool:
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.num.coeffs == o.num.coeffs and self.den.coeffs == o.den.coeffs
+        return self._num == o._num and self._den == o._den
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
@@ -581,7 +611,7 @@ class EpsRational:
         if self.is_constant():
             # Align with hash(Fraction) so mixed-type dict keys behave.
             return hash(self.standard_part())
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self._num, self._den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -600,19 +630,19 @@ class EpsRational:
         """A positive rational b such that sign(self at t) == self.sign() for 0 < t < b."""
         if self.is_zero:
             return _F1
-        return positive_root_lower_bound(_poly(_pmul(self.num.coeffs, self.den.coeffs)))
+        return positive_root_lower_bound(_poly(_pmul(self._num, self._den)))
 
     # -- display ----------------------------------------------------------------
 
     def __str__(self) -> str:
-        num, den = self.num, self.den
-        if den == _P_ONE:
-            return str(num)
-        num_s = str(num)
-        if sum(1 for c in num.coeffs if c != 0) > 1:
+        num, den = self._num, self._den
+        if den == (1,):
+            return _pstr(num)
+        num_s = _pstr(num)
+        if sum(1 for c in num if c != 0) > 1:
             num_s = f"({num_s})"
-        den_s = str(den)
-        if den.degree > 0:
+        den_s = _pstr(den)
+        if len(den) > 1:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
@@ -620,15 +650,15 @@ class EpsRational:
         return f"EpsRational({str(self)!r})"
 
 
-_set_num = EpsRational.num.__set__
-_set_den = EpsRational.den.__set__
+_set_num = EpsRational._num.__set__
+_set_den = EpsRational._den.__set__
 
 
 def _make(num: Sequence[int], den: Sequence[int]) -> EpsRational:
     # Internal: the coefficient pair is already canonical.
     x = _new(EpsRational)
-    _set_num(x, _poly(num))
-    _set_den(x, _P_ONE if len(den) == 1 and den[0] == 1 else _poly(den))
+    _set_num(x, tuple(num))
+    _set_den(x, tuple(den))
     return x
 
 
@@ -739,7 +769,8 @@ EPS = _make((0, 1), (1,))
 
 def const(q: Union[int, Fraction]) -> EpsRational:
     """The rational constant q as a field element."""
-    q = _as_coeff(q)
+    if type(q) is not int:
+        q = _as_coeff(q)
     return _make((q.numerator,), (q.denominator,)) if q else ZERO
 
 
@@ -764,12 +795,15 @@ def sum_values(values: Iterable[EpsRational]) -> EpsRational:
     qs: list[int] = []
     rest = None
     for v in values:
-        n, d = v.num.coeffs, v.den.coeffs
+        n, d = v._num, v._den
         if len(n) == 1 and len(d) == 1:
             ps.append(n[0])
             qs.append(d[0])
+            last = v
         elif n:
             rest = v if rest is None else rest + v
+    if rest is None and len(ps) == 1:  # one nonzero constant: already canonical
+        return last
     return _const_sum(ps, qs, rest)
 
 
@@ -779,7 +813,7 @@ def sum_products(pairs: Iterable[tuple[EpsRational, EpsRational]]) -> EpsRationa
     qs: list[int] = []
     rest = None
     for x, y in pairs:
-        nx, dx, ny, dy = x.num.coeffs, x.den.coeffs, y.num.coeffs, y.den.coeffs
+        nx, dx, ny, dy = x._num, x._den, y._num, y._den
         if len(nx) == len(dx) == len(ny) == len(dy) == 1:
             ps.append(nx[0] * ny[0])
             qs.append(dx[0] * dy[0])

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .credal import CredalSet, ExtDist, Frame, Prob, SetLike, _Frozen, combine_laplace, envelopes
-from .epsnum import ONE, ZERO, EpsRational, as_eps, sum_products, sum_values
+from .epsnum import ONE, ZERO, EpsRational, _clip, as_eps, sum_products, sum_values
 
 __all__ = [
     "TotalConflictError",
@@ -76,10 +76,12 @@ class MassFunction(_Frozen):
         acc = {mask: sum_values(ms) for mask, ms in groups.items()}
         for mask, m in acc.items():
             if m.sign() <= 0:
-                raise ValueError(f"mass of {frame.fmt_set(mask)} must be positive, got {m}")
+                raise ValueError(
+                    f"mass of {_clip(frame.fmt_set(mask), str)} must be positive, got {_clip(m, str)}"
+                )
         total = sum_values(acc.values())
         if total != ONE:
-            raise ValueError(f"masses sum to {total}, expected 1")
+            raise ValueError(f"masses sum to {_clip(total, str)}, expected 1")
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "focal", tuple(sorted(acc.items())))
 

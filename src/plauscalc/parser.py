@@ -34,10 +34,9 @@ violation is an :class:`EpsSyntaxError` like any other:
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Any, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .epsnum import EPS, ZERO, EpsRational, const
+from .epsnum import EPS, ZERO, EpsRational, _clip, _ratio, const
 
 __all__ = [
     "EpsSyntaxError",
@@ -61,12 +60,6 @@ class EpsSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"syntax error at position {position}: {message}")
         self.position = position
-
-
-def _clip(value: Any) -> str:
-    """``repr(value)`` for a message that echoes input, cut to 40 characters."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -250,5 +243,5 @@ def parse_eps_expr(text: str) -> EpsRational:
         except ValueError:  # longer than the interpreter converts
             den = 0
         if den:  # otherwise the rules raise the error
-            return const(num if den == 1 else Fraction(num, den))
+            return _ratio(num, den)
     return _Parser(_tokenize(text)).parse()

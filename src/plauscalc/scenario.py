@@ -43,7 +43,7 @@ from .credal import (
     event_plausibility,
     more_plausible,
 )
-from .epsnum import exact_str
+from .epsnum import _clip, exact_str
 from .evidence import (
     MAX_COMBINED_MEMBERS,
     MassFunction,
@@ -52,7 +52,7 @@ from .evidence import (
     dempster_combine,
     mass_to_credal,
 )
-from .parser import EpsSyntaxError, _clip, parse_eps_expr
+from .parser import EpsSyntaxError, parse_eps_expr
 
 __all__ = [
     "ScenarioError",
@@ -186,7 +186,7 @@ def parse_scenario(doc: Any) -> Scenario:
             for atom, num in entry.items():
                 if atom not in frame.atoms:
                     raise ScenarioError(epath, f"unknown atom {_clip(atom)}")
-                probs[atom] = _number(num, f"{epath}.{atom}")
+                probs[atom] = _number(num, f"{epath}.{_clip(atom, str)}")
             for atom in frame.atoms:
                 probs.setdefault(atom, 0)
             try:

@@ -95,6 +95,53 @@ class TestImmutability:
         assert d != dist(Frame(("b", "a")), Fr(1, 3), Fr(2, 3))
 
 
+class TestEchoedInput:
+    """Library messages that echo an atom or a value cut it to 40 characters."""
+
+    LONG = "x" * 3000
+    BIG = const(Fr(10**3999 + 1, 10**4000))  # a 4,000-digit sum with its copy
+
+    def message(self, call):
+        with pytest.raises((ValueError, KeyError)) as info:
+            call()
+        exc = info.value
+        return exc.args[0] if isinstance(exc, KeyError) else str(exc)
+
+    def test_long_atoms_and_values_are_cut(self):
+        wide = Frame((self.LONG, "b"))
+        cases = [
+            lambda: ExtDist(wide, {self.LONG: -1, "b": 2}),
+            lambda: ExtDist(AB, [self.BIG, self.BIG]),
+            lambda: ExtDist(AB, {self.LONG: 1, "b": 0}),
+            lambda: MassFunction(wide, {(self.LONG,): -1, ("b",): 2}),
+            lambda: MassFunction(AB, {("a",): self.BIG, ("b",): self.BIG}),
+            lambda: AB.index(self.LONG),
+            lambda: AB.mask_of(10**5000),
+        ]
+        for call in cases:
+            text = self.message(call)
+            assert len(text) < 200 and "x" * 37 not in text and "0" * 37 not in text, text[:300]
+
+    def test_mask_past_digit_limit_is_key_error(self):
+        with pytest.raises(KeyError, match="out of range"):
+            AB.mask_of(10**5000)
+
+    def test_short_values_print_in_full(self):
+        cases = [
+            (lambda: ExtDist(AB, [Fr(3, 2), Fr(-1, 2)]), "negative probability for 'b': -1/2"),
+            (lambda: ExtDist(AB, [Fr(1, 2), Fr(1, 3)]), "probabilities sum to 5/6, expected 1"),
+            (lambda: ExtDist(AB, {"a": 1, "z": 0}),
+             "distribution atoms mismatch: missing ['b'], extra ['z']"),
+            (lambda: MassFunction(AB, {("a",): Fr(-1, 2), ("b",): Fr(3, 2)}),
+             "mass of {a} must be positive, got -1/2"),
+            (lambda: MassFunction(AB, {("a",): Fr(9, 10)}), "masses sum to 9/10, expected 1"),
+            (lambda: AB.index("zzz"), "unknown atom 'zzz'"),
+            (lambda: AB.mask_of(9), "mask 9 out of range"),
+        ]
+        for call, text in cases:
+            assert self.message(call) == text
+
+
 class TestEventPlausibility:
     def test_uniform_single(self):
         c = CredalSet(AB, (dist(AB, "1/2", "1/2"),))

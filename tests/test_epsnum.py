@@ -21,6 +21,7 @@ from plauscalc.epsnum import (
     EPS,
     ONE,
     ZERO,
+    DigitLimitError,
     EpsPolynomial,
     EpsRational,
     InfiniteValueError,
@@ -33,6 +34,7 @@ from plauscalc.epsnum import (
     sum_products,
     sum_values,
 )
+from plauscalc.parser import parse_eps_expr
 
 from conftest import planted_factor, rand_eps_rational, rand_poly, rand_primitive
 
@@ -498,3 +500,57 @@ class TestExactTypes:
         assert type(EpsPolynomial([Fr(4, 2)]).coeffs[0]) is int
         with pytest.raises(TypeError):
             EpsPolynomial([Fr(1, 2)])
+
+
+class TestFlatValues:
+    """A value holds two ``int`` tuples; ``num`` and ``den`` are views made on access."""
+
+    def test_views_rebuild_the_value(self):
+        rng = random.Random(71)
+        xs = [ZERO, ONE, EPS, const(-7), const(Fr(6, 4)), ONE / EPS]
+        xs += [rand_eps_rational(rng, max_deg=5, bound=40) for _ in range(60)]
+        for x in xs:
+            assert type(x.num) is EpsPolynomial and type(x.den) is EpsPolynomial
+            assert EpsRational(x.num, x.den) == x
+            assert hash(EpsRational(x.num, x.den)) == hash(x)
+
+    @pytest.mark.parametrize("name", ["num", "den", "_num", "_den"])
+    def test_parts_cannot_be_set(self, name):
+        x = (1 + EPS) / (2 - EPS)
+        with pytest.raises(AttributeError):
+            setattr(x, name, ONE.num if name in ("num", "den") else (1,))
+        assert x == (1 + EPS) / (2 - EPS)
+
+    def test_constant_text(self):
+        cases = [
+            (ZERO, "0"), (const(5), "5"), (const(-5), "-5"),
+            (const(Fr(3, 4)), "3/4"), (const(Fr(-3, 4)), "-3/4"), (const(Fr(6, 4)), "3/2"),
+        ]
+        for x, text in cases:
+            assert str(x) == text and repr(x) == f"EpsRational({text!r})"
+        # the same text as the display of the numerator and denominator views
+        for x, _ in cases:
+            n, d = str(x.num), str(x.den)
+            assert str(x) == (n if d == "1" else f"{n}/{d}")
+
+    def test_constant_past_digit_limit_refuses_to_print(self):
+        for x in (const(10**5000), const(Fr(1, 10**5000)), const(-(10**5000))):
+            with pytest.raises(DigitLimitError):
+                str(x)
+
+    def test_sum_of_one_value_is_that_value(self):
+        c = const(Fr(-6, 4))
+        assert sum_values([c]) is c
+        for v in (c, ONE, (1 + EPS) / (2 - EPS), EPS, ZERO):
+            assert sum_values([v]) == v
+            assert sum_values(iter([v])) == v
+
+    @pytest.mark.parametrize(
+        "text, value", [("6/4", const(Fr(3, 2))), ("0/5", ZERO), ("007", const(7)), ("12", const(12))]
+    )
+    def test_plain_literals(self, text, value):
+        assert structure(parse_eps_expr(text)) == structure(value)
+
+    def test_plain_literal_over_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            parse_eps_expr("1/0")

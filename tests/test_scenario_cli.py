@@ -415,6 +415,20 @@ class TestCliExitCodes:
             assert out == "" and err.count("\n") == 1 and len(err) < 200, err[:300]
             assert err.rstrip().endswith("...") and "x" * 37 not in err, err
 
+    def test_long_atoms_are_cut_in_paths_and_library_messages(self, capsys, tmp_path):
+        long = "x" * 3000
+        docs = [
+            {"frame": [long, "b"], "credals": [{"name": "c", "dists": [{long: "1 +", "b": "0"}]}]},
+            {"frame": [long, "b"], "credals": [{"name": "c", "dists": [{long: "-1", "b": "2"}]}]},
+            {"frame": [long, "b"], "bodies": [{"name": "m", "masses": [
+                {"set": [long], "mass": "-1"}, {"set": ["b"], "mass": "2"}]}]},
+        ]
+        for doc in docs:
+            assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and len(err) < 200, err[:300]
+            assert "x" * 38 not in err, err
+
     def test_frame_that_is_not_a_list_names_its_path_once(self, capsys, tmp_path):
         assert dispatch(["scenario", "run", write_scenario(tmp_path, {"frame": "ab"})]) == 2
         assert capsys.readouterr() == ("", "error: frame: expected a list of strings\n")
@@ -449,3 +463,28 @@ class TestCliExitCodes:
         )
         assert dispatch([*law, "1/2", "0"]) == 1
         assert capsys.readouterr().err == "finding: EpsRational('1/2') is not a bool-kernel value\n"
+
+
+class TestRepeatedDispatch:
+    """Repeated ``dispatch`` calls in one process keep no state between them."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the same help layout in both processes
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        argvs = [
+            ["order"],
+            ["--help"],
+            ["order", "eps", "1/2"],
+            ["gelman"],
+            ["scenario", "run", str(GELMAN)],
+            ["order"],
+        ]
+        for argv in argvs:
+            code = dispatch(argv)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "plauscalc.cli", *argv],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"},
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
