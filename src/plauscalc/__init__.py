@@ -28,7 +28,6 @@ from .kernels import (
     KERNELS,
     RatKernel,
     SeparabilityResult,
-    TrivialKernelError,
     UndefinedSumError,
     archimedean_check,
     check_axioms,

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .credal import ImpossibleEventError, IncompatibleCredalError
 from .embedding import verify_embedding
 from .evidence import SelectionBudgetError, TotalConflictError, run_gelman
-from .kernels import DomainError, UndefinedSumError, check_axioms, get_kernel
+from .kernels import KERNELS, DomainError, UndefinedSumError, check_axioms, get_kernel
 from .parser import parse_eps_expr
 from .refinement import TWO_PATH_LAWS, ScenarioUndefinedError, two_path_eval
 from .scenario import Query, load_scenario, order_verdict, run_query, run_queries
@@ -35,9 +35,6 @@ _SEMANTIC_ERRORS = (
 )
 _USAGE_ERRORS = (ValueError, OSError, ZeroDivisionError)
 
-# The lawful built-in kernels; KERNELS also holds the broken-s control.
-_KERNEL_CHOICES = ("rat", "eps", "bool")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,12 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-axioms", help="sample the kernel laws and report each")
-    p.add_argument("--kernel", required=True, choices=_KERNEL_CHOICES)
+    p.add_argument("--kernel", required=True, choices=KERNELS)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("embed", help="verify the ordered-field embedding on samples")
-    p.add_argument("--kernel", required=True, choices=_KERNEL_CHOICES)
+    p.add_argument("--kernel", required=True, choices=KERNELS)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
@@ -77,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
 
     p = sub.add_parser("scenario-law", help="evaluate an algebraic law along two derivations")
-    p.add_argument("--kernel", required=True, choices=_KERNEL_CHOICES)
+    p.add_argument("--kernel", required=True, choices=KERNELS)
     p.add_argument("--law", required=True, choices=TWO_PATH_LAWS)
     p.add_argument("values", nargs="+", help="eps-expressions, one per law operand")
 

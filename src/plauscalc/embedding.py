@@ -29,8 +29,7 @@ bottom to 0, top to 1, F to multiplication and G (where defined) to addition.
 any failure.
 
 Kernel values are checked once, where they enter: :meth:`Embedding.frac`,
-:meth:`Embedding.embed`, an explicit ``unit`` given to
-:meth:`Embedding.frac_add`, and ``S(e)`` in :attr:`Embedding.unit`.  The
+:meth:`Embedding.embed`, and ``S(e)`` in :attr:`Embedding.unit`.  The
 contents of a :class:`Frac`, :class:`Diff` or :class:`FieldElem` built by
 those factories or by the tower operations are trusted, and the operations
 run on the kernel's unchecked ``_f``, ``_g`` and ``_g_defined``.  A ``Frac``
@@ -42,9 +41,9 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple
 
-from .kernels import AxiomCheck, Kernel, TrivialKernelError, UndefinedSumError
+from .kernels import AxiomCheck, Kernel, UndefinedSumError
 
 __all__ = [
     "Frac",
@@ -153,9 +152,8 @@ class Embedding:
     def unit(self) -> Value:
         """c = min(e, S(e)) for the kernel's nontrivial element e; top if none."""
         k = self.kernel
-        try:
-            e = k.nontrivial_element()
-        except TrivialKernelError:
+        e = k.nontrivial
+        if e is None:
             return k.top
         se = k.S(e)
         return e if k.leq(e, se) else se
@@ -181,30 +179,26 @@ class Embedding:
         k = self.kernel
         return Frac(k._f(x.a, y.a), k._f(x.b, y.b))
 
-    def frac_add(self, x: Frac, y: Frac, unit: Optional[Value] = None) -> Frac:
-        """[a,b] + [p,q] = [u.a.q + u.p.b, u.b.q] for a unit u keeping G defined.
+    def frac_add(self, x: Frac, y: Frac) -> Frac:
+        """[a,b] + [p,q] = [c.a.q + c.p.b, c.b.q] for the scaling unit c.
 
-        The default unit is :attr:`unit`, c = min(e, S(e)), and with it G is
-        always defined on a kernel whose laws hold.  Both scaled terms
+        The unit is :attr:`unit`, c = min(e, S(e)), and with it G is always
+        defined on a kernel whose laws hold.  Both scaled terms
         t1 = F(c, F(a, q)) and t2 = F(c, F(p, b)) are at most c, because F is
         below the minimum of its arguments.  And c <= S(c): if c = e, then
         e <= S(e); if c = S(e) <= e, then S(S(e)) >= S(e) because S is
         antitone.  So S(t2) >= S(c) >= c >= t1, which is G's domain.
 
-        With ``unit`` given, that scaling is used instead.  If G is undefined
-        at the unit (on the trivial kernel, [1,1] + [1,1], or on a kernel that
-        breaks a law this proof uses), the sum raises :class:`UndefinedSumError`.
+        If G is undefined at the unit (on the trivial kernel, [1,1] + [1,1],
+        or on a kernel that breaks a law this proof uses), the sum raises
+        :class:`UndefinedSumError`.
         """
-        k = self.kernel
-        if unit is None:
-            unit = self.unit
-        else:
-            k._require(unit)
-        t1 = k._f(unit, k._f(x.a, y.b))
-        t2 = k._f(unit, k._f(y.a, x.b))
+        k, c = self.kernel, self.unit
+        t1 = k._f(c, k._f(x.a, y.b))
+        t2 = k._f(c, k._f(y.a, x.b))
         if not k._g_defined(t1, t2):
             raise UndefinedSumError("summation unit exhausted")
-        return Frac(k._g(t1, t2), k._f(unit, k._f(x.b, y.b)))
+        return Frac(k._g(t1, t2), k._f(c, k._f(x.b, y.b)))
 
     # -- difference layer -----------------------------------------------------------
 

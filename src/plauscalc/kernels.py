@@ -3,12 +3,17 @@
 A kernel packages a totally ordered domain of plausibility values with the
 three combination functions: ``F`` (conjunction), ``S`` (complement) and the
 partial ``G`` (disjunction of exclusive cases, defined when ``x <= S(y)``).
-Three kernels are built in:
+Three lawful kernels are built in, and one control:
 
 * ``rat``  -- rationals in [0, 1]; F is multiplication, G addition, S(x) = 1 - x.
 * ``eps``  -- the same formulas over exact eps-field values in [0, 1], where
   the order treats eps as a positive infinitesimal.
 * ``bool`` -- the two-valued propositional limit.
+* ``broken-s`` -- ``rat`` with S bent to (1 - x)^2: a control on which
+  S-involution fails, so the checker's witness can be seen.
+
+:data:`KERNELS` is the one registry; the command line takes its ``--kernel``
+choices from it.
 
 Nothing is assumed: :func:`check_axioms` samples the laws and reports each
 with a pass/fail status and, on failure, a concrete reproducing witness.
@@ -21,13 +26,14 @@ compares integer cross-products of numerators and denominators rather than
 going through ``Fraction``'s generic comparison; the Archimedean probe costs
 one G per bit of ``n_max``.
 
-Values are checked once, where they enter.  The public ``F``, ``G``, ``S``
-and ``g_defined`` raise :class:`DomainError` for an argument outside the
-domain.  The private ``_f``, ``_s``, ``_g``, ``_g_defined`` and ``_g_sum``
-(``G`` that raises :class:`UndefinedSumError`) skip that check: the domain is
-closed under F, S and, where defined, G, so their results need no second
-look.  The checker and the probes check their inputs (each sampled triple,
-``e``, ``x``/``y``/``c``) and run on the private forms from there.
+Values are checked once, where they enter.  The public ``F``, ``G``, ``S``,
+``g_defined`` and ``coerce`` raise :class:`DomainError` for an argument
+outside the domain, all through ``_require``.  The private ``_f``, ``_s``,
+``_g``, ``_g_defined`` and ``_g_sum`` (``G`` that raises
+:class:`UndefinedSumError`) skip that check: the domain is closed under F, S
+and, where defined, G, so their results need no second look.  The checker
+and the probes check their inputs (each sampled triple, ``e``,
+``x``/``y``/``c``) and run on the private forms from there.
 """
 
 from __future__ import annotations
@@ -37,12 +43,11 @@ from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Any, NamedTuple, Optional
 
-from .epsnum import EPS, ONE, ZERO, EpsRational, const, exact_str
+from .epsnum import EPS, ONE, ZERO, EpsRational, _clip, const, exact_str
 
 __all__ = [
     "DomainError",
     "UndefinedSumError",
-    "TrivialKernelError",
     "Kernel",
     "RatKernel",
     "EpsKernel",
@@ -74,37 +79,33 @@ class UndefinedSumError(ValueError):
     """
 
 
-class TrivialKernelError(ValueError):
-    """The kernel has no element strictly between bottom and top."""
-
-
 class Kernel(ABC):
-    """A totally ordered plausibility domain with F, G and S."""
+    """A totally ordered plausibility domain with F, G and S.
+
+    ``bottom`` and ``top`` are the least and greatest values; ``nontrivial``
+    is a designated element strictly between them, or ``None`` when there is
+    none.
+    """
 
     name: str = "?"
+    bottom: Value
+    top: Value
+    nontrivial: Value = None
 
     # -- domain --------------------------------------------------------------
-
-    @property
-    @abstractmethod
-    def bottom(self) -> Value: ...
-
-    @property
-    @abstractmethod
-    def top(self) -> Value: ...
 
     @abstractmethod
     def contains(self, x: Value) -> bool: ...
 
+    def _require(self, *values: Value) -> None:
+        for v in values:
+            if not self.contains(v):
+                raise DomainError(f"{_clip(v)} is not a {self.name}-kernel value")
+
     def coerce(self, x: Value) -> Value:
         """Best-effort conversion into the domain; raises DomainError."""
-        if not self.contains(x):
-            raise DomainError(f"{x!r} is not a {self.name}-kernel value")
+        self._require(x)
         return x
-
-    def nontrivial_element(self) -> Value:
-        """A designated element strictly between bottom and top."""
-        raise TrivialKernelError("trivial kernel")
 
     @abstractmethod
     def sample(self, rng: random.Random) -> Value: ...
@@ -131,11 +132,6 @@ class Kernel(ABC):
     @abstractmethod
     def _g(self, x: Value, y: Value) -> Value: ...
 
-    def _require(self, *values: Value) -> None:
-        for v in values:
-            if not self.contains(v):
-                raise DomainError(f"{v!r} is not a {self.name}-kernel value")
-
     def F(self, x: Value, y: Value) -> Value:
         """Plausibility of a conjunction from its chained conditionals."""
         self._require(x, y)
@@ -153,7 +149,7 @@ class Kernel(ABC):
         """G on domain values; raises UndefinedSumError outside G's domain."""
         if not self._g_defined(x, y):
             raise UndefinedSumError(
-                f"undefined sum: {self.fmt(x)} exceeds S({self.fmt(y)})"
+                f"undefined sum: {_clip(x, self.fmt)} exceeds S({_clip(y, self.fmt)})"
             )
         return self._g(x, y)
 
@@ -178,14 +174,7 @@ class RatKernel(Kernel):
     """Rationals in [0, 1] under multiplication / addition / complement."""
 
     name = "rat"
-
-    @property
-    def bottom(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def top(self) -> Fraction:
-        return Fraction(1)
+    bottom, top, nontrivial = Fraction(0), Fraction(1), Fraction(1, 2)
 
     # Domain values are ints or canonical Fractions (lowest terms, positive
     # denominator), so integer cross-products decide the order.
@@ -207,18 +196,12 @@ class RatKernel(Kernel):
         return x.numerator * y.denominator < y.numerator * x.denominator
 
     def coerce(self, x: Value) -> Fraction:
+        """A constant eps-value becomes its ``Fraction``."""
         if isinstance(x, EpsRational):
             if not x.is_constant():
-                raise DomainError(f"{x} is not a plain rational")
+                raise DomainError(f"{_clip(x, self.fmt)} is not a plain rational")
             x = x.standard_part()
-        try:
-            x = Fraction(x)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(str(exc)) from None
         return super().coerce(x)
-
-    def nontrivial_element(self) -> Fraction:
-        return Fraction(1, 2)
 
     def sample(self, rng: random.Random) -> Fraction:
         den = rng.randint(1, 16)
@@ -254,14 +237,10 @@ class EpsKernel(Kernel):
     """Exact eps-field values in [0, 1] under the probability formulas."""
 
     name = "eps"
-
-    @property
-    def bottom(self) -> EpsRational:
-        return ZERO
-
-    @property
-    def top(self) -> EpsRational:
-        return ONE
+    bottom, top = ZERO, ONE
+    # Any interior element generates the same embedding classes; a plain
+    # constant keeps the scaling unit cheap to multiply by.
+    nontrivial = const(Fraction(1, 2))
 
     def contains(self, x: Value) -> bool:
         return isinstance(x, EpsRational) and x.sign() >= 0 and x.compare(ONE) <= 0
@@ -270,11 +249,6 @@ class EpsKernel(Kernel):
         if isinstance(x, (int, Fraction)):
             x = const(x)
         return super().coerce(x)
-
-    def nontrivial_element(self) -> EpsRational:
-        # Any interior element generates the same embedding classes; a plain
-        # constant keeps the scaling unit cheap to multiply by.
-        return const(Fraction(1, 2))
 
     def sample(self, rng: random.Random) -> EpsRational:
         if rng.random() < 0.2:
@@ -304,14 +278,7 @@ class BoolKernel(Kernel):
     """The propositional limit: only falsity and truth."""
 
     name = "bool"
-
-    @property
-    def bottom(self) -> bool:
-        return False
-
-    @property
-    def top(self) -> bool:
-        return True
+    bottom, top = False, True
 
     def contains(self, x: Value) -> bool:
         return isinstance(x, bool)

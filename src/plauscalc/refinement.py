@@ -23,6 +23,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
+from .epsnum import _clip
 from .kernels import Kernel, UndefinedSumError
 
 __all__ = [
@@ -75,7 +76,7 @@ class Model(NamedTuple):
         self._check_new(parent, name)
         k = self.kernel
         if not k.contains(p):
-            raise RefinementError(f"{p!r} is not a {k.name}-kernel value")
+            raise RefinementError(f"{_clip(p)} is not a {k.name}-kernel value")
         independent = set(self.independent)
         for other in independent_of:
             if other != self.root and other not in self.parents:
@@ -96,7 +97,7 @@ class Model(NamedTuple):
             raise RefinementError("values outside the kernel domain")
         if not k.leq(x, k._s(y)):
             raise ExclusivityError(
-                f"exclusivity impossible: {k.fmt(x)} exceeds S({k.fmt(y)})"
+                f"exclusivity impossible: {_clip(x, k.fmt)} exceeds S({_clip(y, k.fmt)})"
             )
         a, b = names
         m = self.refine_subcase(parent, a, x)

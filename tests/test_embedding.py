@@ -23,7 +23,6 @@ from plauscalc.kernels import (
     KERNELS,
     DomainError,
     RatKernel,
-    TrivialKernelError,
     UndefinedSumError,
     get_kernel,
 )
@@ -32,8 +31,7 @@ from plauscalc.kernels import (
 class _RatKernelE23(RatKernel):
     """rat kernel whose designated interior element is 2/3."""
 
-    def nontrivial_element(self):
-        return Fr(2, 3)
+    nontrivial = Fr(2, 3)
 
 
 @pytest.fixture
@@ -61,17 +59,9 @@ def _eps_div(a, b):
     return a / b
 
 
-def _has_nontrivial_element(k):
-    try:
-        k.nontrivial_element()
-    except TrivialKernelError:
-        return False
-    return True
-
-
 # Every registered kernel with an interior element, plus one whose unit is
 # S(e) rather than e; the trivial kernel is covered by TestScalingUnit below.
-_UNIT_KERNELS = [k for k in KERNELS.values() if _has_nontrivial_element(k)] + [_RatKernelE23()]
+_UNIT_KERNELS = [k for k in KERNELS.values() if k.nontrivial is not None] + [_RatKernelE23()]
 
 
 class TestScalingUnit:
@@ -113,7 +103,8 @@ class TestFracLayer:
         assert emb.frac_eq(out, emb.frac(Fr(1, 6), Fr(1)))
 
     def test_add_example_with_explicit_unit(self, emb):
-        out = emb.frac_add(emb.frac(Fr(1, 4), Fr(1)), emb.frac(Fr(1, 4), Fr(1)), unit=Fr(1, 2))
+        assert emb.unit == Fr(1, 2)
+        out = emb.frac_add(emb.frac(Fr(1, 4), Fr(1)), emb.frac(Fr(1, 4), Fr(1)))
         assert (out.a, out.b) == (Fr(1, 4), Fr(1, 2))
         assert emb.frac_eq(out, emb.frac(Fr(1, 2), Fr(1)))
 
@@ -142,14 +133,14 @@ class TestFracLayer:
             assert emb.frac_lt(x, y) == emb.frac_lt(x2, y2)
 
     def test_add_independent_of_unit(self, emb, rat_kernel):
+        emb23 = Embedding(_RatKernelE23())
+        assert (emb.unit, emb23.unit) == (Fr(1, 2), Fr(1, 3))
         rng = random.Random(4)
         k = rat_kernel
         for _ in range(60):
             x = Frac(k.sample(rng), Fr(rng.randint(1, 8), 8))
             y = Frac(k.sample(rng), Fr(rng.randint(1, 8), 8))
-            r1 = emb.frac_add(x, y, unit=Fr(1, 2))
-            r2 = emb.frac_add(x, y, unit=Fr(1, 16))
-            assert emb.frac_eq(r1, r2)
+            assert emb.frac_eq(emb.frac_add(x, y), emb23.frac_add(x, y))
 
     def test_collapse_oracle(self, emb, rat_kernel):
         rng = random.Random(5)
@@ -284,7 +275,6 @@ class TestBoundaryChecks:
             lambda: emb.frac(bad, k.top),
             lambda: emb.frac(k.top, bad),
             lambda: emb.embed(bad),
-            lambda: emb.frac_add(emb.frac_one, emb.frac_one, unit=bad),
         ):
             with pytest.raises(DomainError):
                 call()

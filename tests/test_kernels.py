@@ -363,6 +363,39 @@ class TestBoolCoerce:
                 bool_kernel.coerce(v)
 
 
+class TestRatCoerce:
+    def test_constant_eps_value_becomes_a_fraction(self, rat_kernel):
+        for v, want in ((const(Fr(1, 2)), Fr(1, 2)), (ZERO, Fr(0)), (ONE, Fr(1))):
+            got = rat_kernel.coerce(v)
+            assert type(got) is Fr and got == want
+
+    def test_floats_strings_and_eps_terms_refused(self, rat_kernel):
+        for v in (0.5, "1/2"):
+            with pytest.raises(DomainError, match="is not a rat-kernel value"):
+                rat_kernel.coerce(v)
+        with pytest.raises(DomainError, match="^eps is not a plain rational$"):
+            rat_kernel.coerce(EPS)
+
+
+class TestLongValuesInMessages:
+    """A message echoes a value cut to 40 characters; short values print whole."""
+
+    def test_domain_error(self, kernel):
+        for bad in (Fr(10**3000 + 1, 10**3000), const(10**5000), 7 + EPS * 10**3000):
+            with pytest.raises(DomainError) as exc:
+                kernel.coerce(bad)
+            assert len(str(exc.value)) < 100
+
+    def test_undefined_sum(self, rat_kernel):
+        big = Fr(10**3000 - 1, 10**3000)  # in the rat domain, 6,000 digits long
+        cut = str(big)[:37] + "..."
+        with pytest.raises(UndefinedSumError) as exc:
+            rat_kernel.G(big, big)
+        assert str(exc.value) == f"undefined sum: {cut} exceeds S({cut})"
+        with pytest.raises(UndefinedSumError, match=r"^undefined sum: 3/4 exceeds S\(1/2\)$"):
+            rat_kernel.G(Fr(3, 4), Fr(1, 2))
+
+
 def reference_check_axioms(kernel, samples, seed, prefixes=None):
     """The checker's loop with every law operand evaluated afresh.
 

@@ -101,6 +101,15 @@ class TestBoundaryChecks:
         ):
             m.exclusive_disjunction("B", "A")
 
+    def test_long_values_are_cut_in_messages(self, rat_kernel):
+        big = Fr(10**3000 - 1, 10**3000)
+        cut = str(big)[:37] + "..."
+        with pytest.raises(RefinementError, match=r"^Fraction\(19{27}\.\.\. is not a rat-kernel value$"):
+            Model(rat_kernel).refine_subcase("ROOT", "A", 1 + big)
+        with pytest.raises(ExclusivityError) as exc:
+            Model(rat_kernel).refine_exclusive_pair("ROOT", big, big, names=("A", "B"))
+        assert str(exc.value) == f"exclusivity impossible: {cut} exceeds S({cut})"
+
 
 class TestRefinementMonotonicity:
     def test_existing_queries_survive_refinement(self, rat_kernel):

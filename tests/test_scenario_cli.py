@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from plauscalc.cli import dispatch
+from plauscalc.kernels import check_axioms, get_kernel
 from plauscalc.scenario import (
     MAX_COMBINED_MEMBERS,
     ScenarioError,
@@ -463,6 +464,27 @@ class TestCliExitCodes:
         )
         assert dispatch([*law, "1/2", "0"]) == 1
         assert capsys.readouterr().err == "finding: EpsRational('1/2') is not a bool-kernel value\n"
+
+    def test_long_values_outside_a_domain_are_one_short_finding(self, capsys):
+        long_literal, past_digit_limit = "7" * 4000, "(" + "1" * 200 + ")^30"
+        b = "1" * 1000
+        cases = [
+            *(["--kernel", k, "--law", "comm_G", v, "1"]
+              for k in ("eps", "rat", "bool") for v in (long_literal, past_digit_limit)),
+            ["--kernel", "eps", "--law", "comm_G", f"{b}/({b}+1)", f"{b}/({b}+1)"],
+            ["--kernel", "rat", "--law", "comm_G", f"{b}*eps", "1"],
+        ]
+        for args in cases:
+            assert dispatch(["scenario-law", *args]) == 1, args
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("finding: ") and err.count("\n") == 1
+            assert len(err) < 200, args
+
+    def test_broken_s_control_fails_with_its_witness(self, capsys):
+        assert dispatch(["check-axioms", "--kernel", "broken-s", "--samples", "50"]) == 1
+        lines = check_axioms(get_kernel("broken-s"), 50, 0).format_lines()
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert any(line.startswith("FAIL S-involution: ") and "[witness " in line for line in lines)
 
 
 class TestRepeatedDispatch:
