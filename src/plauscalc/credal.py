@@ -8,6 +8,10 @@ componentwise, one component per index.
 Probabilities are exact eps-field values, so conditioning on an event of
 infinitesimal probability is ordinary division rather than a failure case.
 
+An event is a ``SetLike``: an iterable of atom names or a frame bitmask, the
+encoding :mod:`plauscalc.evidence` uses for focal sets.  Each operation
+resolves it once, with :meth:`Frame.mask_of`.
+
 The vector view: event plausibilities form one eps-field value per index,
 ordered componentwise, which makes the family a partially ordered product
 ring.  Products of nonzero vectors can vanish (zero divisors), no nonzero
@@ -92,12 +96,6 @@ class Frame(_Frozen):
         except ValueError:
             raise KeyError(f"unknown atom {_clip(atom)}") from None
 
-    def event(self, atoms: Iterable[str]) -> frozenset[str]:
-        ev = frozenset(atoms)
-        for a in ev:
-            self.index(a)
-        return ev
-
     def mask_of(self, subset: SetLike) -> int:
         if isinstance(subset, int):
             if not 0 <= subset <= self.full_mask:
@@ -157,9 +155,9 @@ class ExtDist(_Frozen):
     def prob(self, atom: str) -> EpsRational:
         return self.probs[self.space.index(atom)]
 
-    def event_prob(self, event: Iterable[str]) -> EpsRational:
-        ev = self.space.event(event)
-        return sum_values(p for a, p in zip(self.space.atoms, self.probs) if a in ev)
+    def event_prob(self, event: SetLike) -> EpsRational:
+        mask = self.space.mask_of(event)
+        return sum_values(p for i, p in enumerate(self.probs) if mask >> i & 1)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{a}: {p}" for a, p in zip(self.space.atoms, self.probs))
@@ -183,13 +181,6 @@ class CredalSet(_Frozen):
 
     def __len__(self) -> int:
         return len(self.dists)
-
-    @classmethod
-    def of(cls, dists: Iterable[ExtDist]) -> "CredalSet":
-        dists = tuple(dists)
-        if not dists:
-            raise ValueError("credal set must contain at least one distribution")
-        return cls(dists[0].space, dists)
 
 
 class PlausVector(_Frozen):
@@ -219,10 +210,6 @@ class PlausVector(_Frozen):
 
     def __hash__(self) -> int:
         return hash(self.components)
-
-    @classmethod
-    def constant(cls, value: Prob, size: int) -> "PlausVector":
-        return cls([as_eps(value)] * size)
 
     def _zip(self, other: Union["PlausVector", Prob]):
         if isinstance(other, PlausVector):
@@ -274,10 +261,10 @@ class PlausVector(_Frozen):
 # ---------------------------------------------------------------------------
 
 
-def event_plausibility(c: CredalSet, event: Iterable[str]) -> PlausVector:
+def event_plausibility(c: CredalSet, event: SetLike) -> PlausVector:
     """Per-index probability of the event."""
-    ev = c.space.event(event)
-    return PlausVector([d.event_prob(ev) for d in c.dists])
+    mask = c.space.mask_of(event)
+    return PlausVector([d.event_prob(mask) for d in c.dists])
 
 
 class ComparisonResult(NamedTuple):
@@ -288,7 +275,7 @@ class ComparisonResult(NamedTuple):
         return f"{self.verdict} (equal)" if self.equal else self.verdict
 
 
-def more_plausible(c: CredalSet, a: Iterable[str], b: Iterable[str]) -> ComparisonResult:
+def more_plausible(c: CredalSet, a: SetLike, b: SetLike) -> ComparisonResult:
     """Is event ``a`` more plausible than ``b``?  Requires strict agreement of
     every component; equality is reported as incomparable with a flag."""
     pa = event_plausibility(c, a)
@@ -302,25 +289,25 @@ def more_plausible(c: CredalSet, a: Iterable[str], b: Iterable[str]) -> Comparis
     return ComparisonResult("incomparable")
 
 
-def condition(c: CredalSet, event: Iterable[str]) -> CredalSet:
+def condition(c: CredalSet, event: SetLike) -> CredalSet:
     """Per-component exact conditioning on the event.
 
     Components giving the event probability exactly zero are eliminated as
     impossible candidate worlds; infinitesimal probabilities condition
     normally.  Raises when every component is eliminated.
     """
-    ev = c.space.event(event)
-    kept_atoms = tuple(a for a in c.space.atoms if a in ev)
-    if not kept_atoms:
+    mask = c.space.mask_of(event)
+    if not mask:
         raise ImpossibleEventError("conditioning on impossible event: empty event")
-    new_space = Frame(kept_atoms)
+    new_space = Frame(c.space.names_of(mask))
+    kept = c.space.atom_indices(mask)
     survivors = []
     for d in c.dists:
-        pe = d.event_prob(ev)
+        pe = d.event_prob(mask)
         if pe.is_zero:
             continue
         inv = pe.reciprocal()
-        survivors.append(ExtDist(new_space, [d.prob(a) * inv for a in kept_atoms]))
+        survivors.append(ExtDist(new_space, [d.probs[i] * inv for i in kept]))
     if not survivors:
         raise ImpossibleEventError("conditioning on impossible event")
     return CredalSet(new_space, survivors)
@@ -348,7 +335,7 @@ def combine_laplace(c1: CredalSet, c2: CredalSet) -> CredalSet:
     return CredalSet(c1.space, out)
 
 
-def envelopes(c: CredalSet, event: Iterable[str]) -> tuple[Fraction, Fraction]:
+def envelopes(c: CredalSet, event: SetLike) -> tuple[Fraction, Fraction]:
     """Lower and upper standard parts of the event probability."""
     vec = event_plausibility(c, event)
     parts = [p.standard_part() for p in vec]

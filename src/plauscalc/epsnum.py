@@ -374,35 +374,33 @@ def _poly(cs: Sequence[int]) -> EpsPolynomial:
     return p
 
 
-def poly_gcd(a: EpsPolynomial, b: EpsPolynomial) -> EpsPolynomial:
-    """Primitive gcd over Z with a positive leading coefficient.
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd over Z of two trimmed coefficient sequences, leading coefficient positive.
 
     This is the gcd over the rationals scaled to integer coefficients with no
-    common factor, computed by a primitive remainder sequence; it is zero only
-    when both operands are.
+    common factor, computed by a primitive remainder sequence; it is empty
+    (zero) only when both operands are.
     """
-    if a.is_zero:
+    if not a:
         a, b = b, a
-    if a.is_zero:
-        return a
-    if b.is_zero:
-        g = _primitive(a.coeffs)
-    else:
-        g = _prs_gcd(_primitive(a.coeffs), _primitive(b.coeffs))
-    return _poly(g if g[-1] > 0 else [-c for c in g])
+    if not a:
+        return []
+    g = _primitive(a) if not b else _prs_gcd(_primitive(a), _primitive(b))
+    return g if g[-1] > 0 else [-c for c in g]
 
 
 def _common_factor(a: Sequence[int], b: Sequence[int]):
     """Primitive gcd of two nonzero integer polynomials; None when it is constant."""
     if len(a) == 1 or len(b) == 1:
         return None
-    g = poly_gcd(_poly(a), _poly(b)).coeffs
+    g = poly_gcd(a, b)
     return None if len(g) == 1 else g
 
 
-def positive_root_lower_bound(p: EpsPolynomial) -> Fraction:
-    """A positive rational strictly below every positive root of ``p``.
+def positive_root_lower_bound(p: Sequence[int]) -> Fraction:
+    """A positive rational strictly below every positive root of the polynomial ``p``.
 
+    ``p`` is a trimmed integer coefficient sequence, ascending by power.
     Strip the power of eps dividing ``p``; a positive root r of the remaining
     part q gives a root 1/r of the reversed polynomial, and the Cauchy bound
     on the reversed polynomial caps 1/r.  When q is constant there is no
@@ -411,10 +409,9 @@ def positive_root_lower_bound(p: EpsPolynomial) -> Fraction:
     The sign of ``p`` is therefore constant on (0, bound), which makes exact
     evaluation anywhere in that interval a sound sign oracle.
     """
-    if p.is_zero:
+    if not p:
         raise ValueError("zero polynomial has no sign to bound")
-    v = p.valuation
-    q = p.coeffs[v:]
+    q = p[next(i for i, c in enumerate(p) if c):]
     if len(q) == 1:
         return _F1
     low = abs(q[0])
@@ -630,7 +627,7 @@ class EpsRational:
         """A positive rational b such that sign(self at t) == self.sign() for 0 < t < b."""
         if self.is_zero:
             return _F1
-        return positive_root_lower_bound(_poly(_pmul(self._num, self._den)))
+        return positive_root_lower_bound(_pmul(self._num, self._den))
 
     # -- display ----------------------------------------------------------------
 

@@ -26,14 +26,15 @@ compares integer cross-products of numerators and denominators rather than
 going through ``Fraction``'s generic comparison; the Archimedean probe costs
 one G per bit of ``n_max``.
 
-Values are checked once, where they enter.  The public ``F``, ``G``, ``S``,
-``g_defined`` and ``coerce`` raise :class:`DomainError` for an argument
-outside the domain, all through ``_require``.  The private ``_f``, ``_s``,
-``_g``, ``_g_defined`` and ``_g_sum`` (``G`` that raises
+Values are checked once, where they enter, and ``_require`` is the one
+domain check: it raises :class:`DomainError` naming the value in the kernel's
+own format.  Its callers are the public ``F``, ``G``, ``S``, ``g_defined`` and
+``coerce``; the checker and the probes, for their inputs (each sampled
+triple, ``e``, ``x``/``y``/``c``); ``Embedding.frac`` and ``Embedding.embed``;
+and ``Model.refine_subcase`` and ``Model.refine_exclusive_pair``.  The private
+``_f``, ``_s``, ``_g``, ``_g_defined`` and ``_g_sum`` (``G`` that raises
 :class:`UndefinedSumError`) skip that check: the domain is closed under F, S
-and, where defined, G, so their results need no second look.  The checker
-and the probes check their inputs (each sampled triple, ``e``,
-``x``/``y``/``c``) and run on the private forms from there.
+and, where defined, G, so their results need no second look.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class Kernel(ABC):
     def _require(self, *values: Value) -> None:
         for v in values:
             if not self.contains(v):
-                raise DomainError(f"{_clip(v)} is not a {self.name}-kernel value")
+                raise DomainError(f"{_clip(v, self.fmt)} is not a {self.name}-kernel value")
 
     def coerce(self, x: Value) -> Value:
         """Best-effort conversion into the domain; raises DomainError."""
@@ -197,9 +198,7 @@ class RatKernel(Kernel):
 
     def coerce(self, x: Value) -> Fraction:
         """A constant eps-value becomes its ``Fraction``."""
-        if isinstance(x, EpsRational):
-            if not x.is_constant():
-                raise DomainError(f"{_clip(x, self.fmt)} is not a plain rational")
+        if isinstance(x, EpsRational) and x.is_constant():
             x = x.standard_part()
         return super().coerce(x)
 

@@ -14,8 +14,9 @@ kernel whose operations satisfy the checked axioms the two results coincide.
 
 Values are checked once, where they enter a model: :meth:`Model.refine_subcase`
 and :meth:`Model.refine_exclusive_pair` reject a value outside the kernel's
-domain with :class:`RefinementError`.  Queries then combine the assigned
-values with the kernel's unchecked ``_f``, ``_s`` and ``_g_sum``.
+domain with the kernel's own :class:`~plauscalc.kernels.DomainError`, through
+``Kernel._require``.  Queries then combine the assigned values with the
+kernel's unchecked ``_f``, ``_s`` and ``_g_sum``.
 """
 
 from __future__ import annotations
@@ -74,9 +75,7 @@ class Model(NamedTuple):
         sibling events whose truth is declared uninformative about the new one.
         """
         self._check_new(parent, name)
-        k = self.kernel
-        if not k.contains(p):
-            raise RefinementError(f"{_clip(p)} is not a {k.name}-kernel value")
+        self.kernel._require(p)
         independent = set(self.independent)
         for other in independent_of:
             if other != self.root and other not in self.parents:
@@ -93,8 +92,7 @@ class Model(NamedTuple):
     ) -> "Model":
         """Add exclusive subcases ``names`` of ``parent`` with plausibilities x and y."""
         k = self.kernel
-        if not k.contains(x) or not k.contains(y):
-            raise RefinementError("values outside the kernel domain")
+        k._require(x, y)
         if not k.leq(x, k._s(y)):
             raise ExclusivityError(
                 f"exclusivity impossible: {_clip(x, k.fmt)} exceeds S({_clip(y, k.fmt)})"

@@ -156,9 +156,8 @@ def parse_scenario(doc: Any) -> Scenario:
             atoms = _string_list(entry["set"], f"{epath}.set")
             try:
                 mask = frame.mask_of(atoms)
-            except KeyError:
-                atom = next(a for a in atoms if a not in frame.atoms)
-                raise ScenarioError(f"{epath}.set", f"unknown atom {_clip(atom)}") from None
+            except KeyError as exc:
+                raise ScenarioError(f"{epath}.set", exc.args[0]) from None
             value = _number(entry["mass"], f"{epath}.mass")
             masses.append((mask, value))
         try:
@@ -270,7 +269,7 @@ def _order(s: Scenario, a: dict) -> list[str]:
 
 
 def _bel_pl(s: Scenario, a: dict) -> list[str]:
-    bel, pl = bel_pl(s.bodies[a["body"]], tuple(a["event"]))
+    bel, pl = bel_pl(s.bodies[a["body"]], a["event"])
     return [f"bel-pl {a['body']} {_fmt_event(a['event'])}: bel={bel} pl={pl}"]
 
 
@@ -317,12 +316,12 @@ def _laplace(s: Scenario, a: dict) -> list[str]:
 
 
 def _event_plausibility(s: Scenario, a: dict) -> list[str]:
-    vec = event_plausibility(s.credals[a["credal"]], tuple(a["event"]))
+    vec = event_plausibility(s.credals[a["credal"]], a["event"])
     return [f"event-plausibility {a['credal']} {_fmt_event(a['event'])}: {vec}"]
 
 
 def _envelopes(s: Scenario, a: dict) -> list[str]:
-    lo, hi = envelopes(s.credals[a["credal"]], tuple(a["event"]))
+    lo, hi = envelopes(s.credals[a["credal"]], a["event"])
     return [
         f"envelopes {a['credal']} {_fmt_event(a['event'])}: "
         f"({exact_str(lo)}, {exact_str(hi)})"
@@ -330,12 +329,12 @@ def _envelopes(s: Scenario, a: dict) -> list[str]:
 
 
 def _condition(s: Scenario, a: dict) -> list[str]:
-    c = condition(s.credals[a["credal"]], tuple(a["event"]))
+    c = condition(s.credals[a["credal"]], a["event"])
     return _members(f"condition {a['credal']} on {_fmt_event(a['event'])}", c)
 
 
 def _decompose(s: Scenario, a: dict) -> list[str]:
-    vec = event_plausibility(s.credals[a["credal"]], tuple(a["event"]))
+    vec = event_plausibility(s.credals[a["credal"]], a["event"])
     d = decompose(vec)
     profile = "none" if d.profile is None else str(d.profile)
     return [
@@ -345,7 +344,7 @@ def _decompose(s: Scenario, a: dict) -> list[str]:
 
 
 def _more_plausible(s: Scenario, a: dict) -> list[str]:
-    r = more_plausible(s.credals[a["credal"]], tuple(a["a"]), tuple(a["b"]))
+    r = more_plausible(s.credals[a["credal"]], a["a"], a["b"])
     return [f"more-plausible {a['credal']} {_fmt_event(a['a'])} vs {_fmt_event(a['b'])}: {r}"]
 
 

@@ -178,13 +178,13 @@ def test_criterion_8_robust_engine():
                 assert d.spread == ZERO
                 assert all(c == d.lower for c in p)
             else:
-                assert PlausVector.constant(d.lower, n) + d.profile * d.spread == p
+                assert PlausVector([d.lower] * n) + d.profile * d.spread == p
                 assert d.profile.min() == ZERO and d.profile.max() == ONE
         # interactivity: the profile straddles every interior constant
         spread_profile = decompose(PlausVector([Fr(1, 4), Fr(3, 4)])).profile
         for _ in range(100):
             q = Fr(rng.randint(1, 999), 1000)
-            c = PlausVector.constant(const(q), 2)
+            c = PlausVector([const(q)] * 2)
             assert not spread_profile.strictly_above(c)
             assert not spread_profile.strictly_below(c)
         # zero divisors exist ...

@@ -76,7 +76,7 @@ class TestImmutability:
         values = {
             Frame: (AB, "atoms"),
             ExtDist: (d, "probs"),
-            CredalSet: (CredalSet.of([d]), "dists"),
+            CredalSet: (CredalSet(AB, [d]), "dists"),
             MassFunction: (MassFunction(AB, {("a",): 1}), "focal"),
             PlausVector: (PlausVector([ONE, ZERO]), "components"),
         }
@@ -207,6 +207,10 @@ class TestConditioning:
         c = CredalSet(AB, (dist(AB, "1", "0"),))
         with pytest.raises(ImpossibleEventError, match="impossible"):
             condition(c, ("b",))
+        for empty in ([], 0):
+            with pytest.raises(ImpossibleEventError) as exc:
+                condition(c, empty)
+            assert str(exc.value) == "conditioning on impossible event: empty event"
 
     def test_zero_components_dropped(self):
         c = CredalSet(AB, (dist(AB, "1", "0"), dist(AB, "1/2", "1/2")))
@@ -234,20 +238,20 @@ class TestConditioning:
 class TestCombineLaplace:
     def test_uniform_is_idempotent(self):
         u = dist(AB, "1/2", "1/2")
-        out = combine_laplace(CredalSet.of((u,)), CredalSet.of((u,)))
+        out = combine_laplace(CredalSet(AB, (u,)), CredalSet(AB, (u,)))
         assert out.dists == (u,)
 
     def test_point_mass_absorbs(self):
         p = dist(AB, "1", "0")
         q = dist(AB, "1/4", "3/4")
-        out = combine_laplace(CredalSet.of((p,)), CredalSet.of((q,)))
+        out = combine_laplace(CredalSet(AB, (p,)), CredalSet(AB, (q,)))
         assert out.dists == (p,)
 
     def test_incompatible(self):
         p = dist(AB, "1", "0")
         q = dist(AB, "0", "1")
         with pytest.raises(IncompatibleCredalError, match="incompatible"):
-            combine_laplace(CredalSet.of((p,)), CredalSet.of((q,)))
+            combine_laplace(CredalSet(AB, (p,)), CredalSet(AB, (q,)))
 
     def test_commutative_and_associative_up_to_reordering(self):
         rng = random.Random(3)
@@ -313,7 +317,7 @@ class TestDecompose:
             if d.profile is None:
                 assert d.spread == ZERO
                 continue
-            rebuilt = PlausVector.constant(d.lower, n) + d.profile * d.spread
+            rebuilt = PlausVector([d.lower] * n) + d.profile * d.spread
             assert rebuilt == p
             assert d.profile.min() == ZERO and d.profile.max() == ONE
 
@@ -325,7 +329,7 @@ class TestDecompose:
             if d.profile is None:
                 continue
             q = Fr(rng.randint(1, 23), 24)
-            c = PlausVector.constant(const(q), 4)
+            c = PlausVector([const(q)] * 4)
             assert not d.profile.strictly_above(c)
             assert not d.profile.strictly_below(c)
             assert d.profile != c

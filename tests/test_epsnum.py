@@ -229,6 +229,7 @@ class TestOrder:
             a, b, c = vals[i], vals[(i + 1) % len(vals)], vals[(i + 2) % len(vals)]
             # trichotomy
             assert sum([a < b, a == b, a > b]) == 1
+            assert (a >= b) == (b <= a) == (a > b or a == b)
             # antisymmetry
             if a <= b and b <= a:
                 assert a == b
@@ -283,18 +284,18 @@ class TestOrder:
 class TestRootBound:
     def test_bound_is_below_positive_roots(self):
         # roots at 1/3 and 2: bound must be under 1/3
-        p = P(2, -7, 3)  # (1 - 3 eps)(2 - eps)
+        p = [2, -7, 3]  # (1 - 3 eps)(2 - eps)
         b = positive_root_lower_bound(p)
         assert 0 < b < Fr(1, 3)
 
     def test_monomial_has_no_positive_root(self):
-        assert positive_root_lower_bound(P(0, 0, 5)) == 1
+        assert positive_root_lower_bound([0, 0, 5]) == 1
 
     def test_sign_constant_below_bound(self):
         rng = random.Random(23)
         for _ in range(100):
             p = EpsRational(rand_poly(rng, 5, bound=20, nonzero=True)).num  # a positive multiple
-            b = positive_root_lower_bound(p)
+            b = positive_root_lower_bound(p.coeffs)
             signs = {p.eval_at(b / k) > 0 for k in (2, 3, 5, 9)}
             assert len(signs) == 1
 
@@ -343,7 +344,7 @@ class TestPolyGcd:
             b = rand_primitive(rng, rng.randint(0, 3), bound=8)
             g = rand_primitive(rng, rng.randint(0, 2), bound=8)
             ag, bg = _pmul(a, g), _pmul(b, g)
-            gg = poly_gcd(P(*ag), P(*bg)).coeffs
+            gg = poly_gcd(ag, bg)
             assert gg[-1] > 0
             assert math.gcd(*gg) == 1
             assert divides(gg, ag) and divides(gg, bg)
@@ -352,27 +353,27 @@ class TestPolyGcd:
 
     def test_content_above_one(self):
         # 6 + 12 eps = 6 (1 + 2 eps) and 4 + 8 eps = 4 (1 + 2 eps)
-        assert poly_gcd(P(6, 12), P(4, 8)) == P(1, 2)
-        assert poly_gcd(P(0, 6, 12), P(0, 0, 4, 8)) == P(0, 1, 2)
+        assert poly_gcd([6, 12], [4, 8]) == [1, 2]
+        assert poly_gcd([0, 6, 12], [0, 0, 4, 8]) == [0, 1, 2]
 
     def test_negative_leading_coefficients(self):
         # (1 - eps) and (1 - eps^2) = (1 - eps)(1 + eps)
-        assert poly_gcd(P(1, -1), P(1, 0, -1)) == P(-1, 1)
-        assert poly_gcd(P(-2, 0, -2), P(-3, 0, -3)) == P(1, 0, 1)
+        assert poly_gcd([1, -1], [1, 0, -1]) == [-1, 1]
+        assert poly_gcd([-2, 0, -2], [-3, 0, -3]) == [1, 0, 1]
 
     def test_constant_gcd(self):
-        assert poly_gcd(P(1, 1), P(2, 1)) == P(1)
-        assert poly_gcd(P(3), P(0, 5)) == P(1)
-        assert poly_gcd(P(7), P(-14)) == P(1)
+        assert poly_gcd([1, 1], [2, 1]) == [1]
+        assert poly_gcd([3], [0, 5]) == [1]
+        assert poly_gcd([7], [-14]) == [1]
 
     def test_equal_operands(self):
-        p = P(-4, 6, 2)
-        assert poly_gcd(p, p) == P(-2, 3, 1)
+        p = [-4, 6, 2]
+        assert poly_gcd(p, p) == [-2, 3, 1]
 
     def test_zero(self):
-        assert poly_gcd(P(), P(0, 2)) == P(0, 1)
-        assert poly_gcd(P(0, 0, -3), P()) == P(0, 0, 1)
-        assert poly_gcd(P(), P()) == P()
+        assert poly_gcd([], [0, 2]) == [0, 1]
+        assert poly_gcd([0, 0, -3], []) == [0, 0, 1]
+        assert poly_gcd([], []) == []
 
 
 class TestCoprimeAtPoint:
@@ -390,7 +391,7 @@ class TestCoprimeAtPoint:
             b = _pmul(rand_primitive(rng, rng.randint(0, room)), f)
             assert not _coprime_at_point(a, b), (a, b)
             assert not _coprime_at_point(b, a), (a, b)
-            assert divides(f, poly_gcd(P(*a), P(*b)).coeffs), (a, b, f)
+            assert divides(f, poly_gcd(a, b)), (a, b, f)
 
     def test_shared_linear_factor_is_caught(self):
         # (eps - r)(eps + 1) and (eps - r)(eps + 2) leave h = |xi - r|: dropping
@@ -398,7 +399,7 @@ class TestCoprimeAtPoint:
         for r in (2**32 - 1, 3, -5, 2**70 + 1):
             a, b = _pmul([-r, 1], [1, 1]), _pmul([-r, 1], [2, 1])
             assert not _coprime_at_point(a, b)
-            assert poly_gcd(P(*a), P(*b)) == P(-r, 1)
+            assert poly_gcd(a, b) == [-r, 1]
 
     def test_coprime_edge_cases_are_certified(self):
         big = 2**64 + 13
@@ -414,7 +415,7 @@ class TestCoprimeAtPoint:
         ]
         for a, b in coprime:
             assert _coprime_at_point(a, b) and _coprime_at_point(b, a), (a, b)
-            assert poly_gcd(P(*a), P(*b)) == P(1)
+            assert poly_gcd(a, b) == [1]
 
     def test_common_factor_edge_cases(self):
         big = 2**64 + 13
@@ -428,7 +429,7 @@ class TestCoprimeAtPoint:
             a, b = _pmul(f, ca), _pmul(f, cb)
             assert not _coprime_at_point(a, b) and not _coprime_at_point(b, a)
             g = f if f[-1] > 0 else [-c for c in f]
-            assert poly_gcd(P(*a), P(*b)) == P(*g)
+            assert poly_gcd(a, b) == g
 
 
 class TestGcdSpanContract:
@@ -481,9 +482,9 @@ class TestExactTypes:
                 except ZeroDivisionError:
                     pass
             if not x.is_zero:
-                assert type(positive_root_lower_bound(x.num)) is Fr
+                assert type(positive_root_lower_bound(x.num.coeffs)) is Fr
         assert type(P(3, 1).eval_at(2)) is Fr
-        assert positive_root_lower_bound(P(2, -7, 3)) == Fr(2, 9)
+        assert positive_root_lower_bound([2, -7, 3]) == Fr(2, 9)
 
     def test_fraction_input_matches_integer_cleared_input(self):
         rng = random.Random(53)

@@ -236,7 +236,7 @@ class TestMassToCredal:
             for ev in range(1 << n):
                 bel = sum(v.standard_part() for mask, v in m.focal if mask & ~ev == 0)
                 pl = sum(v.standard_part() for mask, v in m.focal if mask & ev)
-                assert envelopes(c, m.frame.names_of(ev)) == (bel, pl), (str(m), ev)
+                assert envelopes(c, ev) == envelopes(c, m.frame.names_of(ev)) == (bel, pl), (str(m), ev)
                 assert tuple(x.standard_part() for x in bel_pl(m, ev)) == (bel, pl)
 
 

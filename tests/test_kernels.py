@@ -373,7 +373,7 @@ class TestRatCoerce:
         for v in (0.5, "1/2"):
             with pytest.raises(DomainError, match="is not a rat-kernel value"):
                 rat_kernel.coerce(v)
-        with pytest.raises(DomainError, match="^eps is not a plain rational$"):
+        with pytest.raises(DomainError, match="^eps is not a rat-kernel value$"):
             rat_kernel.coerce(EPS)
 
 

@@ -112,6 +112,35 @@ class TestLoadScenario:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
 
+    def test_section_checks(self, tmp_path, capsys):
+        # The document and each body and credal entry are checked at load time;
+        # each error names its path.  A string case is written as raw text.
+        path = tmp_path / "s.json"
+        cases = [
+            ('{"frame": ["a"],', f"{path}: invalid JSON: Expecting property name"),
+            ({"bodies": [{"name": "m", "masses": []}]}, "bodies[0].masses: expected a nonempty list"),
+            ({"bodies": [{"name": "m", "masses": [{"set": ["a"]}]}]},
+             "bodies[0].masses[0]: expected {'set': [...], 'mass': '...'}"),
+            ({"bodies": [{"name": "m", "masses": [{"mass": "1"}]}]},
+             "bodies[0].masses[0]: expected {'set': [...], 'mass': '...'}"),
+            ({"bodies": [{"name": "m", "masses": [{"set": ["a", "z"], "mass": "1"}]}]},
+             "bodies[0].masses[0].set: unknown atom 'z'"),
+            ({"bodies": [{"name": "m", "masses": [{"set": ["a"], "mass": "1"}]}] * 2},
+             "bodies[1]: duplicate body name 'm'"),
+            ({"credals": [{"dists": [{"a": "1"}]}]}, "credals[0]: credal set needs a string 'name'"),
+            ({"credals": [{"name": "c", "dists": [{"a": "1"}]}] * 2},
+             "credals[1]: duplicate credal name 'c'"),
+            ({"credals": [{"name": "c", "dists": []}]}, "credals[0].dists: expected a nonempty list"),
+            ({"credals": [{"name": "c"}]}, "credals[0].dists: expected a nonempty list"),
+        ]
+        for doc, error in cases:
+            path.write_text(doc if isinstance(doc, str) else json.dumps({"frame": ["a", "b"], **doc}))
+            with pytest.raises(ScenarioError, match=f"^{re.escape(error)}"):
+                load_scenario(str(path))
+            assert dispatch(["scenario", "run", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
+
     def test_load_is_order_independent(self):
         flipped = {
             "credals": list(reversed(BASE["credals"])),
@@ -248,6 +277,10 @@ class TestCliExitCodes:
         # conditioning a point mass on its null event: semantic finding
         assert dispatch(["credal", "condition", f, "--credal", "point", "--event", "b"]) == 1
         assert "impossible" in capsys.readouterr().err
+        # conditioning on the empty event: the same finding, from a scenario query
+        doc = dict(BASE, queries=[{"op": "condition", "credal": "c1", "event": []}])
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == "finding: conditioning on impossible event: empty event\n"
         assert dispatch(["credal", "envelopes", f, "--credal", "nope", "--event", "a"]) == 2
         assert "unknown credal set 'nope'" in capsys.readouterr().err
         assert dispatch(["credal", "envelopes", f, "--credal", "c1", "--event", "z"]) == 2
@@ -463,7 +496,7 @@ class TestCliExitCodes:
             "finding: scenario undefined: exclusivity impossible: True exceeds S(True)\n"
         )
         assert dispatch([*law, "1/2", "0"]) == 1
-        assert capsys.readouterr().err == "finding: EpsRational('1/2') is not a bool-kernel value\n"
+        assert capsys.readouterr().err == "finding: 1/2 is not a bool-kernel value\n"
 
     def test_long_values_outside_a_domain_are_one_short_finding(self, capsys):
         long_literal, past_digit_limit = "7" * 4000, "(" + "1" * 200 + ")^30"
