@@ -18,6 +18,17 @@ ring.  Products of nonzero vectors can vanish (zero divisors), no nonzero
 vector squares to zero, and every vector splits uniquely as
 ``lower + profile * spread`` with precise (all-components-equal) lower bound
 and spread and a profile vector spanning exactly [0, 1].
+
+Values are checked once, where they enter.  :class:`ExtDist` and
+:class:`~plauscalc.evidence.MassFunction` are the validating entry points:
+every parsed document and every user-built value goes through them.  The four
+internal routes that build a result from values already checked --
+:func:`condition`, :func:`combine_laplace`,
+:func:`~plauscalc.evidence.dempster_combine` and
+:func:`~plauscalc.evidence.mass_to_credal` -- take their values as they are,
+through the private ``ExtDist._exact`` and ``MassFunction._exact``: exact
+arithmetic has made the result valid, each docstring gives the proof, and the
+result needs no second look.
 """
 
 from __future__ import annotations
@@ -143,6 +154,15 @@ class ExtDist(_Frozen):
             raise ValueError(f"probabilities sum to {_clip(total, str)}, expected 1")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "probs", values)
+
+    @classmethod
+    def _exact(cls, space: Frame, probs: Iterable[EpsRational]) -> "ExtDist":
+        """Internal: field values already known nonnegative and summing to 1,
+        taken as they are."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "space", space)
+        object.__setattr__(d, "probs", tuple(probs))
+        return d
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExtDist):
@@ -295,6 +315,10 @@ def condition(c: CredalSet, event: SetLike) -> CredalSet:
     Components giving the event probability exactly zero are eliminated as
     impossible candidate worlds; infinitesimal probabilities condition
     normally.  Raises when every component is eliminated.
+
+    Each survivor is valid by construction: its kept probabilities are
+    nonnegative with sum p(E) > 0, so every p * p(E)^-1 >= 0 and they sum to
+    p(E) * p(E)^-1 = 1.
     """
     mask = c.space.mask_of(event)
     if not mask:
@@ -307,7 +331,7 @@ def condition(c: CredalSet, event: SetLike) -> CredalSet:
         if pe.is_zero:
             continue
         inv = pe.reciprocal()
-        survivors.append(ExtDist(new_space, [d.probs[i] * inv for i in kept]))
+        survivors.append(ExtDist._exact(new_space, [d.probs[i] * inv for i in kept]))
     if not survivors:
         raise ImpossibleEventError("conditioning on impossible event")
     return CredalSet(new_space, survivors)
@@ -318,6 +342,10 @@ def combine_laplace(c1: CredalSet, c2: CredalSet) -> CredalSet:
 
     The result family is indexed by the lexicographic Cartesian product of
     the two index sets; index pairs whose product annihilates are dropped.
+
+    Each member is valid by construction: the weights w = p * q are
+    nonnegative with a sum t > 0, so every w * t^-1 >= 0 and they sum to
+    t * t^-1 = 1.
     """
     if c1.space.atoms != c2.space.atoms:
         raise ValueError("credal sets must share the outcome space")
@@ -329,7 +357,7 @@ def combine_laplace(c1: CredalSet, c2: CredalSet) -> CredalSet:
             if total.is_zero:
                 continue
             inv = total.reciprocal()
-            out.append(ExtDist(c1.space, [w * inv for w in weights]))
+            out.append(ExtDist._exact(c1.space, [w * inv for w in weights]))
     if not out:
         raise IncompatibleCredalError("incompatible credal sets")
     return CredalSet(c1.space, out)

@@ -15,6 +15,14 @@ Two combination routes are provided and deliberately kept comparable:
 
 :func:`run_gelman` builds the boxer/wrestler/coin scenario on which the two
 routes famously disagree and reports both answers with exact envelopes.
+
+Values are checked once, where they enter, as in :mod:`plauscalc.credal`.
+:class:`MassFunction` is the validating entry point for a body of evidence:
+every parsed document and every user-built body goes through it.
+:func:`dempster_combine` builds its result through the private
+``MassFunction._exact``, and :func:`mass_to_credal` its members through
+``ExtDist._exact``, taking the values as they are; each docstring proves the
+result valid.
 """
 
 from __future__ import annotations
@@ -49,9 +57,10 @@ class TotalConflictError(ValueError):
 
 
 class SelectionBudgetError(ValueError):
-    """Credal translation would enumerate too many selection functions, or a
+    """Credal translation would enumerate too many selection functions, a
     combination of credal sets or bodies of evidence could have too many
-    members or focal sets."""
+    members or focal sets, or a chain of Dempster combinations gives a mass
+    of too high a degree in eps."""
 
 
 class MassFunction(_Frozen):
@@ -86,6 +95,16 @@ class MassFunction(_Frozen):
         object.__setattr__(self, "focal", tuple(sorted(acc.items())))
 
     @classmethod
+    def _exact(cls, frame: Frame, focal: Iterable[tuple[int, EpsRational]]) -> "MassFunction":
+        """Internal: (mask, mass) pairs on distinct nonempty masks, with
+        masses already known positive and summing to 1, taken as they are and
+        sorted by mask."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "frame", frame)
+        object.__setattr__(m, "focal", tuple(sorted(focal)))
+        return m
+
+    @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
         return cls(frame, {frame.full_mask: ONE})
 
@@ -109,6 +128,12 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Random-set intersection conditioned on non-emptiness, exactly.
 
     Conflict mass K is divided away; K = 1 raises :class:`TotalConflictError`.
+
+    The result is valid by construction.  The products m1(B) * m2(C) are
+    positive and sum to 1 over all pairs.  K sums those with B & C empty, so
+    K <= 1, and K = 1 is refused: 1 - K > 0.  Each mass on a nonempty A is a
+    sum of positive products times (1 - K)^-1, so it is positive, and the
+    masses sum to (1 - K) * (1 - K)^-1 = 1.
     """
     if m1.frame.atoms != m2.frame.atoms:
         raise ValueError("mass functions must share the frame")
@@ -120,7 +145,9 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     if conflict == ONE:
         raise TotalConflictError("total conflict")
     inv = (ONE - conflict).reciprocal()
-    return MassFunction(m1.frame, {mask: sum_products(ws) * inv for mask, ws in groups.items()})
+    return MassFunction._exact(
+        m1.frame, [(mask, sum_products(ws) * inv) for mask, ws in groups.items()]
+    )
 
 
 def bel_pl(m: MassFunction, event: SetLike) -> tuple[EpsRational, EpsRational]:
@@ -142,6 +169,10 @@ def mass_to_credal(m: MassFunction) -> CredalSet:
     plausibility.  Raises
     :class:`SelectionBudgetError` above :data:`MAX_COMBINED_MEMBERS` selection
     functions.
+
+    Each member is valid by construction: it adds up the positive focal
+    masses, one per focal set, so its values are nonnegative and sum to
+    the total mass, 1.
     """
     count = 1
     for mask, _ in m.focal:
@@ -152,7 +183,9 @@ def mass_to_credal(m: MassFunction) -> CredalSet:
                 f" (at least {count})"
             )
     n = m.frame.size
-    seen: dict[tuple[EpsRational, ...], None] = {}
+    # Keyed on the canonical (numerator, denominator) tuples: canonical forms
+    # are unique, and a constant's hash would build a Fraction.
+    seen: dict[tuple, list[EpsRational]] = {}
     choices = [m.frame.atom_indices(mask) for mask, _ in m.focal]
 
     # Depth first over an explicit stack (one level per focal set), children
@@ -161,14 +194,14 @@ def mass_to_credal(m: MassFunction) -> CredalSet:
     while stack:
         i, acc = stack.pop()
         if i == len(choices):
-            seen.setdefault(tuple(acc), None)
+            seen.setdefault(tuple((v._num, v._den) for v in acc), acc)
             continue
         _, mass = m.focal[i]
         for atom in reversed(choices[i]):
             nxt = list(acc)
             nxt[atom] = nxt[atom] + mass
             stack.append((i + 1, nxt))
-    dists = [ExtDist(m.frame, probs) for probs in seen]
+    dists = [ExtDist._exact(m.frame, probs) for probs in seen.values()]
     return CredalSet(m.frame, dists)
 
 

@@ -101,7 +101,10 @@ class Kernel(ABC):
     def _require(self, *values: Value) -> None:
         for v in values:
             if not self.contains(v):
-                raise DomainError(f"{_clip(v, self.fmt)} is not a {self.name}-kernel value")
+                article = "an" if self.name[0] in "aeiou" else "a"
+                raise DomainError(
+                    f"{_clip(v, self.fmt)} is not {article} {self.name}-kernel value"
+                )
 
     def coerce(self, x: Value) -> Value:
         """Best-effort conversion into the domain; raises DomainError."""

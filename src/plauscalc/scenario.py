@@ -60,6 +60,7 @@ __all__ = [
     "Scenario",
     "QUERY_OPS",
     "MAX_COMBINED_MEMBERS",
+    "MAX_MASS_DEGREE",
     "check_query",
     "load_scenario",
     "order_verdict",
@@ -273,6 +274,13 @@ def _bel_pl(s: Scenario, a: dict) -> list[str]:
     return [f"bel-pl {a['body']} {_fmt_event(a['event'])}: bel={bel} pl={pl}"]
 
 
+# Bound on the degree in eps of a mass that a chain of Dempster combinations
+# produces.  Each step can raise the degree, and the cost of a step grows with
+# it, so a long chain of eps-valued bodies is refused instead of running for
+# minutes.
+MAX_MASS_DEGREE = 64
+
+
 def _dempster(s: Scenario, a: dict) -> list[str]:
     m, *rest = (s.bodies[name] for name in a["bodies"])
     for nxt in rest:
@@ -285,6 +293,12 @@ def _dempster(s: Scenario, a: dict) -> list[str]:
                 f" focal sets (up to {bound})"
             )
         m = dempster_combine(m, nxt)
+        degree = max(max(v.num.degree, v.den.degree) for _, v in m.focal)
+        if degree > MAX_MASS_DEGREE:
+            raise SelectionBudgetError(
+                f"dempster combination gives a mass of degree {degree} in eps,"
+                f" more than {MAX_MASS_DEGREE}"
+            )
     return [f"dempster {' (x) '.join(a['bodies'])} = {m}"]
 
 

@@ -9,12 +9,23 @@ translation must equal Bel/Pl on singletons.
 
 import itertools
 import random
+import re
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plauscalc.credal import combine_laplace, envelopes
+from plauscalc.credal import (
+    CredalSet,
+    ExtDist,
+    ImpossibleEventError,
+    IncompatibleCredalError,
+    combine_laplace,
+    condition,
+    envelopes,
+)
 from plauscalc.epsnum import EPS, ONE, ZERO, const
 from plauscalc.evidence import (
     MAX_COMBINED_MEMBERS,
@@ -266,3 +277,120 @@ class TestGelmanScenario:
             "m3": ZERO,
             "m": const(Fr(1, 2)),
         }
+
+
+# -- the trusted routes ----------------------------------------------------------
+
+FRAMES = [Frame("abcd"[:n]) for n in range(1, 5)]
+
+
+@st.composite
+def normalised(draw, count, zeros):
+    """``count`` values (w_i + a_i eps) / (W + A eps) summing to exactly 1, each
+    positive unless ``zeros`` lets both w_i and a_i be 0."""
+    lo = 0 if zeros else 1
+    parts = [(draw(st.integers(0, 3)), draw(st.integers(0, 2))) for _ in range(count)]
+    parts = [(w, a) if w + a >= lo else (w + 1, a) for w, a in parts]
+    if not any(w + a for w, a in parts):
+        parts[0] = (1, 0)
+    total = sum(w for w, _ in parts) + EPS * sum(a for _, a in parts)
+    return [(w + EPS * a) / total for w, a in parts]
+
+
+@st.composite
+def bodies(draw, frame):
+    masks = draw(st.lists(st.integers(1, frame.full_mask), min_size=1, max_size=4, unique=True))
+    return MassFunction(frame, zip(masks, draw(normalised(len(masks), zeros=False))))
+
+
+@st.composite
+def credal_sets(draw, frame):
+    count = draw(st.integers(1, 3))
+    return CredalSet(frame, [ExtDist(frame, draw(normalised(frame.size, zeros=True)))
+                             for _ in range(count)])
+
+
+def selection_members(m):
+    """The distinct selection-function distributions in selection order, by
+    brute force, compared as field values."""
+    members = {}
+    for pick in itertools.product(*(m.frame.atom_indices(mask) for mask, _ in m.focal)):
+        probs = [ZERO] * m.frame.size
+        for atom, (_, v) in zip(pick, m.focal):
+            probs[atom] += v
+        members.setdefault(tuple(probs), None)
+    return list(members)
+
+
+def rebuilt_members(c):
+    """Each member next to its rebuild through the validating constructor."""
+    return [(d, ExtDist(d.space, d.probs)) for d in c.dists]
+
+
+class TestTrustedRoutes:
+    """Dempster, Laplace combination, conditioning and credal translation build
+    their results without the public constructors' checks; each result must
+    pass those checks and come out unchanged."""
+
+    SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+    @SETTINGS
+    @given(st.sampled_from(FRAMES).flatmap(lambda f: st.tuples(bodies(f), bodies(f))))
+    def test_dempster_result_rebuilds(self, pair):
+        try:
+            r = dempster_combine(*pair)
+        except TotalConflictError:
+            return
+        rebuilt = MassFunction(r.frame, r.focal)
+        assert rebuilt.frame is r.frame and rebuilt.focal == r.focal
+        assert [mask for mask, _ in r.focal] == sorted({mask for mask, _ in r.focal})
+
+    @SETTINGS
+    @given(st.sampled_from(FRAMES).flatmap(bodies))
+    def test_credal_translation_rebuilds(self, m):
+        c = mass_to_credal(m)
+        for d, rebuilt in rebuilt_members(c):
+            assert rebuilt == d
+        assert [d.probs for d in c.dists] == selection_members(m)
+
+    @SETTINGS
+    @given(st.sampled_from(FRAMES).flatmap(lambda f: st.tuples(credal_sets(f), credal_sets(f))))
+    def test_laplace_members_rebuild(self, pair):
+        try:
+            c = combine_laplace(*pair)
+        except IncompatibleCredalError:
+            return
+        for d, rebuilt in rebuilt_members(c):
+            assert rebuilt == d
+
+    @SETTINGS
+    @given(st.sampled_from(FRAMES).flatmap(
+        lambda f: st.tuples(credal_sets(f), st.integers(1, f.full_mask))))
+    def test_conditioned_members_rebuild(self, case):
+        c, event = case
+        try:
+            r = condition(c, event)
+        except ImpossibleEventError:
+            return
+        for d, rebuilt in rebuilt_members(r):
+            assert rebuilt == d
+
+    @pytest.mark.parametrize("probs, message", [
+        ((Fr(3, 2), Fr(-1, 2)), "negative probability for 'b': -1/2"),
+        ((ONE + EPS, -EPS), "negative probability for 'b': -eps"),
+        ((Fr(1, 2), Fr(1, 3)), "probabilities sum to 5/6, expected 1"),
+        ((EPS, ONE), "probabilities sum to 1 + eps, expected 1"),
+    ])
+    def test_public_distribution_constructor_still_rejects(self, probs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExtDist(Frame("ab"), probs)
+
+    @pytest.mark.parametrize("masses, message", [
+        ({"a": 0, "b": 1}, "mass of {a} must be positive, got 0"),
+        ({"a": ONE + EPS, "b": -EPS}, "mass of {b} must be positive, got -eps"),
+        ({"a": Fr(9, 10)}, "masses sum to 9/10, expected 1"),
+        ({"a": ONE - EPS}, "masses sum to 1 - eps, expected 1"),
+    ])
+    def test_public_mass_constructor_still_rejects(self, masses, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MassFunction(Frame("ab"), {(atom,): v for atom, v in masses.items()})

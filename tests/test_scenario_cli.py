@@ -17,6 +17,7 @@ from plauscalc.cli import dispatch
 from plauscalc.kernels import check_axioms, get_kernel
 from plauscalc.scenario import (
     MAX_COMBINED_MEMBERS,
+    MAX_MASS_DEGREE,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -346,6 +347,33 @@ class TestCliExitCodes:
             assert dispatch(argv) == 1
             assert time.perf_counter() - start < 2
             assert capsys.readouterr() == ("", finding)
+
+    @staticmethod
+    def _rising_degree_doc(times):
+        # each Dempster step of this body with itself raises the degree in eps
+        # of its masses by one: t names give masses of degree t
+        masses = [{"set": s, "mass": v} for s, v in zip(
+            (["a"], ["a", "b"], ["a", "b", "c"]), ("eps/(3+eps)", "1/(3+eps)", "2/(3+eps)"))]
+        return {"frame": list("abc"), "bodies": [{"name": "m", "masses": masses}],
+                "queries": [{"op": "dempster", "bodies": ["m"] * times}]}
+
+    def test_dempster_chain_at_degree_bound_runs(self, capsys, tmp_path):
+        f = write_scenario(tmp_path, self._rising_degree_doc(MAX_MASS_DEGREE))
+        assert dispatch(["scenario", "run", f]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("}: ") == 3
+        assert f"eps^{MAX_MASS_DEGREE}" in out and f"eps^{MAX_MASS_DEGREE + 1}" not in out
+
+    def test_dempster_chain_past_degree_bound_is_one_line_finding(self, capsys, tmp_path):
+        # 1,000 names ran for minutes and printed megabytes before the bound
+        f = write_scenario(tmp_path, self._rising_degree_doc(1000))
+        start = time.perf_counter()
+        assert dispatch(["scenario", "run", f]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            f"finding: dempster combination gives a mass of degree {MAX_MASS_DEGREE + 1}"
+            f" in eps, more than {MAX_MASS_DEGREE}\n"
+        ))
 
     def test_dempster_bound_counts_subsets_of_a_small_frame(self, capsys, tmp_path):
         # every nonempty subset of 7 atoms: 127 x 127 pairs, yet at most 127 focal sets
