@@ -9,7 +9,6 @@ Dempster and robust combination.
 
 from .epsnum import (
     EPS,
-    EpsPolynomial,
     EpsRational,
     InfiniteValueError,
     ONE,

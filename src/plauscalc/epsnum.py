@@ -31,10 +31,10 @@ Arithmetic on canonical values runs on ``int`` only:
 
 A value stores its canonical numerator and denominator as two tuples of
 ``int``, one object per value, and every function here reads those tuples.
-:class:`EpsPolynomial` is the read-only, integer-only view of a numerator or
-denominator, made when ``num`` or ``den`` is read.  :class:`EpsRational`
-also takes rational (``Fraction``) coefficients and clears their
-denominators on entry.
+``num`` and ``den`` wrap them in :class:`EpsPolynomial`, a one-field view
+kept for readers outside the library; nothing here reads it.
+:class:`EpsRational` also takes rational (``Fraction``) coefficients and
+clears their denominators on entry.
 
 All values are immutable and all operations are pure.
 """
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
     "EpsPolynomial",
@@ -111,14 +111,6 @@ def _as_coeff(x: Union[int, Fraction]) -> Union[int, Fraction]:
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-def _as_int(x: Union[int, Fraction]) -> int:
-    """An integral coefficient as ``int``."""
-    c = _as_coeff(x)
-    if isinstance(c, Fraction):
-        raise TypeError(f"expected an integral coefficient, got {c}")
-    return c
 
 
 # -- coefficient sequences, ascending by power ----------------------------------
@@ -300,78 +292,19 @@ def _pstr(cs: Sequence[int]) -> str:
     return " ".join(parts)
 
 
-class EpsPolynomial:
-    """Integer polynomial in ``eps``, coefficients ascending by power, trailing nonzero.
+def _peval(cs: Sequence[int], t) -> Fraction:
+    """Exact value of a coefficient sequence at ``t``, by Horner's rule."""
+    acc = _F0
+    for c in reversed(cs):
+        acc = acc * t + c
+    return acc
 
-    The read-only view of a value's numerator or denominator.  The empty
-    coefficient sequence is the zero polynomial.
-    """
 
-    __slots__ = ("coeffs",)
+class EpsPolynomial(NamedTuple):
+    """The ``int`` coefficients of a canonical numerator or denominator,
+    ascending by power; ``()`` is the zero polynomial."""
 
     coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        _set_coeffs(self, tuple(_trim([_as_int(c) for c in coeffs])))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsPolynomial is immutable")
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def valuation(self) -> int:
-        """Index of the lowest nonzero coefficient; -1 for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return -1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EpsPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def eval_at(self, t: Fraction) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        acc = _F0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    # -- display -----------------------------------------------------------
-
-    def __str__(self) -> str:
-        return _pstr(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"EpsPolynomial({list(self.coeffs)!r})"
-
-
-_new = object.__new__
-_set_coeffs = EpsPolynomial.coeffs.__set__
-
-
-def _poly(cs: Sequence[int]) -> EpsPolynomial:
-    # Internal: coefficients already ``int`` and trimmed.
-    p = _new(EpsPolynomial)
-    _set_coeffs(p, tuple(cs))
-    return p
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -428,8 +361,8 @@ class EpsRational:
     Instances are immutable, hashable, totally ordered, and always canonical;
     ``==`` is structural equality of the canonical form.  A value stores its
     numerator and denominator coefficients as two ``int`` tuples, ascending by
-    power; ``num`` and ``den`` return :class:`EpsPolynomial` views of them,
-    made on access.
+    power.  ``num`` and ``den`` wrap them in :class:`EpsPolynomial`, a
+    coefficient view kept for readers outside the library.
     """
 
     __slots__ = ("_num", "_den")
@@ -439,8 +372,8 @@ class EpsRational:
 
     def __init__(
         self,
-        num: Union[EpsPolynomial, Iterable, int, Fraction] = 0,
-        den: Union[EpsPolynomial, Iterable, int, Fraction] = 1,
+        num: Union[Iterable, int, Fraction] = 0,
+        den: Union[Iterable, int, Fraction] = 1,
     ):
         n, d = _coeff_list(num), _coeff_list(den)
         # Clear the coefficient denominators of both parts at once.
@@ -455,12 +388,17 @@ class EpsRational:
     @property
     def num(self) -> EpsPolynomial:
         """The canonical numerator."""
-        return _poly(self._num)
+        return EpsPolynomial(self._num)
 
     @property
     def den(self) -> EpsPolynomial:
         """The canonical denominator, positive near zero."""
-        return _poly(self._den)
+        return EpsPolynomial(self._den)
+
+    @property
+    def degree(self) -> int:
+        """The larger degree in eps of the canonical numerator and denominator."""
+        return max(len(self._num), len(self._den)) - 1
 
     # -- predicates ---------------------------------------------------------
 
@@ -618,10 +556,10 @@ class EpsRational:
     def eval_at(self, t: Union[int, Fraction]) -> Fraction:
         """Exact value at a rational point; raises on a pole."""
         t = _as_coeff(t)
-        d = self.den.eval_at(t)
+        d = _peval(self._den, t)
         if d == 0:
             raise ZeroDivisionError(f"pole at {t}")
-        return self.num.eval_at(t) / d
+        return _peval(self._num, t) / d
 
     def sign_agreement_bound(self) -> Fraction:
         """A positive rational b such that sign(self at t) == self.sign() for 0 < t < b."""
@@ -647,6 +585,7 @@ class EpsRational:
         return f"EpsRational({str(self)!r})"
 
 
+_new = object.__new__
 _set_num = EpsRational._num.__set__
 _set_den = EpsRational._den.__set__
 
@@ -660,9 +599,7 @@ def _make(num: Sequence[int], den: Sequence[int]) -> EpsRational:
 
 
 def _coeff_list(x) -> list:
-    """A trimmed list of exact coefficients from a polynomial, an iterable or a scalar."""
-    if isinstance(x, EpsPolynomial):
-        return list(x.coeffs)
+    """A trimmed list of exact coefficients from an iterable or a scalar."""
     if isinstance(x, (int, Fraction)):
         x = (x,)
     return _trim([_as_coeff(c) for c in x])

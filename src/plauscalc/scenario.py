@@ -29,7 +29,6 @@ own exception.
 from __future__ import annotations
 
 import json
-from functools import reduce
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .credal import (
@@ -274,11 +273,20 @@ def _bel_pl(s: Scenario, a: dict) -> list[str]:
     return [f"bel-pl {a['body']} {_fmt_event(a['event'])}: bel={bel} pl={pl}"]
 
 
-# Bound on the degree in eps of a mass that a chain of Dempster combinations
-# produces.  Each step can raise the degree, and the cost of a step grows with
-# it, so a long chain of eps-valued bodies is refused instead of running for
-# minutes.
+# Bound on the degree in eps of a value that a chain of combinations produces,
+# Dempster's or Laplace's.  Each step can raise the degree, and the cost of a
+# step grows with it, so a long chain of eps-valued bodies or credal sets is
+# refused instead of running for minutes.
 MAX_MASS_DEGREE = 64
+
+
+def _bound_degree(values: Iterable, what: str) -> None:
+    """Refuse a chain step that gives a value above :data:`MAX_MASS_DEGREE`."""
+    degree = max(v.degree for v in values)
+    if degree > MAX_MASS_DEGREE:
+        raise SelectionBudgetError(
+            f"{what} of degree {degree} in eps, more than {MAX_MASS_DEGREE}"
+        )
 
 
 def _dempster(s: Scenario, a: dict) -> list[str]:
@@ -293,12 +301,7 @@ def _dempster(s: Scenario, a: dict) -> list[str]:
                 f" focal sets (up to {bound})"
             )
         m = dempster_combine(m, nxt)
-        degree = max(max(v.num.degree, v.den.degree) for _, v in m.focal)
-        if degree > MAX_MASS_DEGREE:
-            raise SelectionBudgetError(
-                f"dempster combination gives a mass of degree {degree} in eps,"
-                f" more than {MAX_MASS_DEGREE}"
-            )
+        _bound_degree((v for _, v in m.focal), "dempster combination gives a mass")
     return [f"dempster {' (x) '.join(a['bodies'])} = {m}"]
 
 
@@ -311,7 +314,11 @@ def _combine_all(credals: list[CredalSet]) -> CredalSet:
                 f"combination could have more than {MAX_COMBINED_MEMBERS} members"
                 f" (at least {bound})"
             )
-    return reduce(combine_laplace, credals)
+    c, *rest = credals
+    for nxt in rest:
+        c = combine_laplace(c, nxt)
+        _bound_degree((p for d in c.dists for p in d.probs), "combination gives a probability")
+    return c
 
 
 def _robust_combine(s: Scenario, a: dict) -> list[str]:

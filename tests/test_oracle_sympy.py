@@ -78,7 +78,7 @@ def test_arithmetic_results_match_sympy_cancel():
         a = rand_eps_rational(rng, max_deg=3, bound=15)
         b = rand_eps_rational(rng, max_deg=3, bound=15)
         if i % 2:  # denominators with a common factor
-            b = b / EpsRational(a.den)
+            b = b / EpsRational(a.den.coeffs)
         sa = to_sympy(a.num.coeffs) / to_sympy(a.den.coeffs)
         sb = to_sympy(b.num.coeffs) / to_sympy(b.den.coeffs)
         cases = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), ((a + b) - b, sa)]
@@ -102,7 +102,7 @@ def test_sign_is_sign_of_leading_term():
     values += [rand_eps_rational(rng, max_deg=4, bound=20) for _ in range(80)]
     for _ in range(40):  # differences of close values cancel low-order terms
         a = rand_eps_rational(rng, max_deg=3, bound=10)
-        values.append(a - EpsRational(_pmul(a.num.coeffs, (1, 0, 1)), a.den))
+        values.append(a - EpsRational(_pmul(a.num.coeffs, (1, 0, 1)), a.den.coeffs))
     for x in values:
         assert x.sign() == leading_sign(x), x
 

@@ -375,6 +375,38 @@ class TestCliExitCodes:
             f" in eps, more than {MAX_MASS_DEGREE}\n"
         ))
 
+    @staticmethod
+    def _laplace_chain_doc(op, times):
+        # each Laplace step of this one member (or Bayesian body) with itself
+        # raises the degree in eps of its probabilities by one: t names give
+        # probabilities of degree t
+        member = {"a": "(1+eps)/(3+2*eps)", "b": "1/(3+2*eps)", "c": "(1+eps)/(3+2*eps)"}
+        masses = [{"set": [atom], "mass": p} for atom, p in member.items()]
+        key, name = {"laplace": ("credals", "c"), "robust-combine": ("bodies", "m")}[op]
+        return {"frame": list("abc"), "credals": [{"name": "c", "dists": [member]}],
+                "bodies": [{"name": "m", "masses": masses}],
+                "queries": [{"op": op, key: [name] * times}]}
+
+    @pytest.mark.parametrize("op", ["laplace", "robust-combine"])
+    def test_laplace_chain_at_degree_bound_runs(self, capsys, tmp_path, op):
+        f = write_scenario(tmp_path, self._laplace_chain_doc(op, MAX_MASS_DEGREE))
+        assert dispatch(["scenario", "run", f]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("member ") == 1
+        assert f"eps^{MAX_MASS_DEGREE}" in out and f"eps^{MAX_MASS_DEGREE + 1}" not in out
+
+    @pytest.mark.parametrize("op", ["laplace", "robust-combine"])
+    def test_laplace_chain_past_degree_bound_is_one_line_finding(self, capsys, tmp_path, op):
+        # 1,000 names ran for minutes and printed a megabyte before the bound
+        f = write_scenario(tmp_path, self._laplace_chain_doc(op, 1000))
+        start = time.perf_counter()
+        assert dispatch(["scenario", "run", f]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            f"finding: combination gives a probability of degree {MAX_MASS_DEGREE + 1}"
+            f" in eps, more than {MAX_MASS_DEGREE}\n"
+        ))
+
     def test_dempster_bound_counts_subsets_of_a_small_frame(self, capsys, tmp_path):
         # every nonempty subset of 7 atoms: 127 x 127 pairs, yet at most 127 focal sets
         subsets = [s for k in range(1, 8) for s in itertools.combinations("abcdefg", k)]
