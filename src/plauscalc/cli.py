@@ -18,7 +18,7 @@ from .evidence import SelectionBudgetError, TotalConflictError, run_gelman
 from .kernels import KERNELS, DomainError, UndefinedSumError, check_axioms, get_kernel
 from .parser import parse_eps_expr
 from .refinement import TWO_PATH_LAWS, ScenarioUndefinedError, two_path_eval
-from .scenario import Query, load_scenario, order_verdict, run_query, run_queries
+from .scenario import Query, load_scenario, order_verdict, run_queries
 
 __all__ = ["dispatch", "main"]
 
@@ -35,6 +35,23 @@ _SEMANTIC_ERRORS = (
 )
 _USAGE_ERRORS = (ValueError, OSError, ZeroDivisionError)
 
+# check-axioms and embed: help text, default sample count and checker.
+_CHECKERS = {
+    "check-axioms": ("sample the kernel laws and report each", 500, check_axioms),
+    "embed": ("verify the ordered-field embedding on samples", 200, verify_embedding),
+}
+
+# ds combine --rule: the scenario op each rule runs.
+_DS_RULES = {"dempster": "dempster", "robust": "robust-combine"}
+
+# Commands that run queries of a scenario file: the one query each builds from
+# its arguments, or None to run the file's own queries.
+_FILE_QUERY = {
+    "scenario": lambda a: None,
+    "ds": lambda a: Query(_DS_RULES[a.rule], {"bodies": _split_names(a.bodies)}),
+    "credal": lambda a: Query(a.action, {"credal": a.credal, "event": _split_names(a.event)}),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,15 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-axioms", help="sample the kernel laws and report each")
-    p.add_argument("--kernel", required=True, choices=KERNELS)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("embed", help="verify the ordered-field embedding on samples")
-    p.add_argument("--kernel", required=True, choices=KERNELS)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    for command, (text, samples, _) in _CHECKERS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--kernel", required=True, choices=KERNELS)
+        p.add_argument("--samples", type=int, default=samples)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scenario", help="run the queries of a scenario file")
     p.add_argument("action", choices=("run",))
@@ -59,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ds", help="combine bodies of evidence from a scenario file")
     p.add_argument("action", choices=("combine",))
-    p.add_argument("--rule", required=True, choices=("dempster", "robust"))
+    p.add_argument("--rule", required=True, choices=_DS_RULES)
     p.add_argument("file")
     p.add_argument("--bodies", required=True, nargs="+")
 
@@ -91,33 +104,17 @@ def _split_names(raw: Sequence[str]) -> list[str]:
 
 
 def _run(args: argparse.Namespace) -> int:
-    if args.command == "check-axioms":
-        report = check_axioms(get_kernel(args.kernel), samples=args.samples, seed=args.seed)
+    if args.command in _CHECKERS:
+        report = _CHECKERS[args.command][2](get_kernel(args.kernel), args.samples, args.seed)
         print("\n".join(report.format_lines()))
         return 0 if report.all_passed else 1
 
-    if args.command == "embed":
-        report = verify_embedding(get_kernel(args.kernel), samples=args.samples, seed=args.seed)
-        print("\n".join(report.format_lines()))
-        return 0 if report.all_passed else 1
-
-    if args.command == "scenario":
+    if args.command in _FILE_QUERY:
         scenario = load_scenario(args.file)
+        query = _FILE_QUERY[args.command](args)
+        if query is not None:
+            scenario = scenario._replace(queries=(query,))
         for line in run_queries(scenario):
-            print(line)
-        return 0
-
-    if args.command == "ds":
-        scenario = load_scenario(args.file)
-        op = "dempster" if args.rule == "dempster" else "robust-combine"
-        for line in run_query(scenario, Query(op, {"bodies": _split_names(args.bodies)})):
-            print(line)
-        return 0
-
-    if args.command == "credal":
-        scenario = load_scenario(args.file)
-        q = Query(args.action, {"credal": args.credal, "event": _split_names(args.event)})
-        for line in run_query(scenario, q):
             print(line)
         return 0
 

@@ -43,7 +43,7 @@ import random
 from functools import cached_property
 from typing import Any, NamedTuple
 
-from .kernels import AxiomCheck, Kernel, UndefinedSumError
+from .kernels import AxiomCheck, AxiomReport, Kernel, UndefinedSumError
 
 __all__ = [
     "Frac",
@@ -272,23 +272,11 @@ class Embedding:
         return FieldElem(self.diff_of(Frac(x, self.kernel.top)), self.diff_one, self)
 
 
-class EmbeddingReport(NamedTuple):
-    kernel: str
-    samples: int
-    seed: int
-    checks: dict[str, AxiomCheck]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-    def format_lines(self) -> list[str]:
-        lines = [f"embedding over kernel {self.kernel}: {self.samples} sample pairs, seed {self.seed}"]
-        lines.extend(c.format() for c in self.checks.values())
-        lines.append(
-            "embedding verified" if self.all_passed else "embedding violated"
-        )
-        return lines
+class EmbeddingReport(AxiomReport):
+    __slots__ = ()
+    header = "embedding over kernel {kernel}: {samples} sample pairs, seed {seed}"
+    passed_verdict = "embedding verified"
+    failed_verdict = "embedding violated"
 
 
 def verify_embedding(kernel: Kernel, samples: int = 200, seed: int = 0) -> EmbeddingReport:
@@ -300,10 +288,10 @@ def verify_embedding(kernel: Kernel, samples: int = 200, seed: int = 0) -> Embed
     emb = Embedding(kernel)
     k = kernel
     rng = random.Random(seed)
-    checks = {
-        name: AxiomCheck(name)
-        for name in ("multiplicative", "additive", "order-preserving", "injective")
-    }
+    report = EmbeddingReport(kernel=k.name, samples=samples, seed=seed)
+    checks = report.checks
+    for name in ("multiplicative", "additive", "order-preserving", "injective"):
+        checks[name] = AxiomCheck(name)
 
     for _ in range(samples):
         x = k.sample(rng)
@@ -336,4 +324,4 @@ def verify_embedding(kernel: Kernel, samples: int = 200, seed: int = 0) -> Embed
             "embedding identifies distinct values (or splits equal ones)",
         )
 
-    return EmbeddingReport(kernel=k.name, samples=samples, seed=seed, checks=checks)
+    return report

@@ -28,7 +28,7 @@ result valid.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .credal import CredalSet, ExtDist, Frame, Prob, SetLike, _Frozen, combine_laplace, envelopes
 from .epsnum import ONE, ZERO, EpsRational, _clip, as_eps, sum_products, sum_values
@@ -37,10 +37,15 @@ __all__ = [
     "TotalConflictError",
     "SelectionBudgetError",
     "MAX_COMBINED_MEMBERS",
+    "MAX_MASS_DEGREE",
+    "MAX_COEFF_BITS",
     "MassFunction",
     "dempster_combine",
     "bel_pl",
     "mass_to_credal",
+    "dempster_chain",
+    "laplace_chain",
+    "robust_chain",
     "GelmanReport",
     "run_gelman",
 ]
@@ -51,6 +56,13 @@ __all__ = [
 # on the focal sets one step of a chain of Dempster combinations can produce.
 MAX_COMBINED_MEMBERS = 10_000
 
+# Bounds on the values a chain of combinations produces, Dempster's or
+# Laplace's: their degree in eps, and the bits of their largest integer.  Each
+# step can raise both, and the cost of a step grows with them, so a long chain
+# is refused instead of running for minutes.
+MAX_MASS_DEGREE = 64
+MAX_COEFF_BITS = 4096
+
 
 class TotalConflictError(ValueError):
     """Dempster combination with conflict mass exactly 1."""
@@ -59,8 +71,8 @@ class TotalConflictError(ValueError):
 class SelectionBudgetError(ValueError):
     """Credal translation would enumerate too many selection functions, a
     combination of credal sets or bodies of evidence could have too many
-    members or focal sets, or a chain of Dempster combinations gives a mass
-    of too high a degree in eps."""
+    members or focal sets, or a chain of combinations gives a value of too
+    high a degree in eps or with too large an integer."""
 
 
 class MassFunction(_Frozen):
@@ -205,6 +217,65 @@ def mass_to_credal(m: MassFunction) -> CredalSet:
     return CredalSet(m.frame, dists)
 
 
+def _bound_size(values: Iterable[EpsRational], what: str) -> None:
+    """Refuse a chain step that gives a value above :data:`MAX_MASS_DEGREE`
+    in degree or above :data:`MAX_COEFF_BITS` in the bits of an integer."""
+    values = list(values)
+    degree = max(v.degree for v in values)
+    if degree > MAX_MASS_DEGREE:
+        raise SelectionBudgetError(f"{what} of degree {degree} in eps, more than {MAX_MASS_DEGREE}")
+    bits = max(max(map(abs, v._num + v._den)).bit_length() for v in values)
+    if bits > MAX_COEFF_BITS:
+        raise SelectionBudgetError(
+            f"{what} with an integer of {bits} bits, more than {MAX_COEFF_BITS}"
+        )
+
+
+def dempster_chain(bodies: Sequence[MassFunction]) -> MassFunction:
+    """Dempster combination of a nonempty list of bodies, left to right; a
+    step that could give too many focal sets or gives too large a mass is
+    refused with :class:`SelectionBudgetError`."""
+    m, *rest = bodies
+    for nxt in rest:
+        # The focal sets of a step are intersections: at most one per pair and
+        # one per nonempty subset of the frame.
+        bound = min(len(m.focal) * len(nxt.focal), m.frame.full_mask)
+        if bound > MAX_COMBINED_MEMBERS:
+            raise SelectionBudgetError(
+                f"dempster combination could have more than {MAX_COMBINED_MEMBERS}"
+                f" focal sets (up to {bound})"
+            )
+        m = dempster_combine(m, nxt)
+        _bound_size((v for _, v in m.focal), "dempster combination gives a mass")
+    return m
+
+
+def laplace_chain(credals: Sequence[CredalSet]) -> CredalSet:
+    """Laplace combination of a nonempty list of credal sets, left to right;
+    too many members in all, or a step that gives too large a probability, is
+    refused with :class:`SelectionBudgetError`."""
+    bound = 1
+    for c in credals:
+        bound *= len(c)
+        if bound > MAX_COMBINED_MEMBERS:
+            raise SelectionBudgetError(
+                f"combination could have more than {MAX_COMBINED_MEMBERS} members"
+                f" (at least {bound})"
+            )
+    c, *rest = credals
+    for nxt in rest:
+        c = combine_laplace(c, nxt)
+        _bound_size((p for d in c.dists for p in d.probs), "combination gives a probability")
+    return c
+
+
+def robust_chain(bodies: Sequence[MassFunction]) -> CredalSet:
+    """The robust route over a nonempty list of bodies: each distinct body
+    translated once by :func:`mass_to_credal`, then :func:`laplace_chain`."""
+    credal = {m: mass_to_credal(m) for m in dict.fromkeys(bodies)}
+    return laplace_chain([credal[m] for m in bodies])
+
+
 # ---------------------------------------------------------------------------
 # The boxer / wrestler / coin comparison
 # ---------------------------------------------------------------------------
@@ -257,11 +328,8 @@ def run_gelman() -> GelmanReport:
     m3 = MassFunction(frame, {("BC", "nBnC"): 1})
     bodies = {"m1": m1, "m2": m2, "m3": m3}
 
-    combined = dempster_combine(dempster_combine(m1, m2), m3)
-
-    robust = combine_laplace(
-        combine_laplace(mass_to_credal(m1), mass_to_credal(m2)), mass_to_credal(m3)
-    )
+    combined = dempster_chain([m1, m2, m3])
+    robust = robust_chain([m1, m2, m3])
 
     bc = ("BC",)
     symbol_masses = {

@@ -349,7 +349,12 @@ class AxiomCheck:
 
 
 class AxiomReport:
+    """Checks in the order registered, between a header and a verdict line."""
+
     __slots__ = ("kernel", "samples", "seed", "checks")
+    header = "kernel {kernel}: {samples} samples, seed {seed}"
+    passed_verdict = "all axioms hold"
+    failed_verdict = "{failures} axiom(s) violated"
 
     def __init__(self, kernel: str, samples: int, seed: int):
         self.kernel = kernel
@@ -366,14 +371,11 @@ class AxiomReport:
         return [c for c in self.checks.values() if not c.passed]
 
     def format_lines(self) -> list[str]:
-        lines = [
-            f"kernel {self.kernel}: {self.samples} samples, seed {self.seed}"
-        ]
+        lines = [self.header.format(kernel=self.kernel, samples=self.samples, seed=self.seed)]
         lines.extend(c.format() for c in self.checks.values())
-        verdict = "all axioms hold" if self.all_passed else (
-            f"{len(self.failures)} axiom(s) violated"
-        )
-        lines.append(verdict)
+        failures = len(self.failures)
+        verdict = self.failed_verdict if failures else self.passed_verdict
+        lines.append(verdict.format(failures=failures))
         return lines
 
 

@@ -35,7 +35,6 @@ from .credal import (
     CredalSet,
     ExtDist,
     Frame,
-    combine_laplace,
     condition,
     decompose,
     envelopes,
@@ -44,12 +43,12 @@ from .credal import (
 )
 from .epsnum import _clip, exact_str
 from .evidence import (
-    MAX_COMBINED_MEMBERS,
     MassFunction,
-    SelectionBudgetError,
     bel_pl,
-    dempster_combine,
+    dempster_chain,
+    laplace_chain,
     mass_to_credal,
+    robust_chain,
 )
 from .parser import EpsSyntaxError, parse_eps_expr
 
@@ -58,8 +57,6 @@ __all__ = [
     "Query",
     "Scenario",
     "QUERY_OPS",
-    "MAX_COMBINED_MEMBERS",
-    "MAX_MASS_DEGREE",
     "check_query",
     "load_scenario",
     "order_verdict",
@@ -273,57 +270,13 @@ def _bel_pl(s: Scenario, a: dict) -> list[str]:
     return [f"bel-pl {a['body']} {_fmt_event(a['event'])}: bel={bel} pl={pl}"]
 
 
-# Bound on the degree in eps of a value that a chain of combinations produces,
-# Dempster's or Laplace's.  Each step can raise the degree, and the cost of a
-# step grows with it, so a long chain of eps-valued bodies or credal sets is
-# refused instead of running for minutes.
-MAX_MASS_DEGREE = 64
-
-
-def _bound_degree(values: Iterable, what: str) -> None:
-    """Refuse a chain step that gives a value above :data:`MAX_MASS_DEGREE`."""
-    degree = max(v.degree for v in values)
-    if degree > MAX_MASS_DEGREE:
-        raise SelectionBudgetError(
-            f"{what} of degree {degree} in eps, more than {MAX_MASS_DEGREE}"
-        )
-
-
 def _dempster(s: Scenario, a: dict) -> list[str]:
-    m, *rest = (s.bodies[name] for name in a["bodies"])
-    for nxt in rest:
-        # The focal sets of a step are intersections: at most one per pair and
-        # one per nonempty subset of the frame.
-        bound = min(len(m.focal) * len(nxt.focal), m.frame.full_mask)
-        if bound > MAX_COMBINED_MEMBERS:
-            raise SelectionBudgetError(
-                f"dempster combination could have more than {MAX_COMBINED_MEMBERS}"
-                f" focal sets (up to {bound})"
-            )
-        m = dempster_combine(m, nxt)
-        _bound_degree((v for _, v in m.focal), "dempster combination gives a mass")
+    m = dempster_chain([s.bodies[name] for name in a["bodies"]])
     return [f"dempster {' (x) '.join(a['bodies'])} = {m}"]
 
 
-def _combine_all(credals: list[CredalSet]) -> CredalSet:
-    bound = 1
-    for c in credals:
-        bound *= len(c)
-        if bound > MAX_COMBINED_MEMBERS:
-            raise SelectionBudgetError(
-                f"combination could have more than {MAX_COMBINED_MEMBERS} members"
-                f" (at least {bound})"
-            )
-    c, *rest = credals
-    for nxt in rest:
-        c = combine_laplace(c, nxt)
-        _bound_degree((p for d in c.dists for p in d.probs), "combination gives a probability")
-    return c
-
-
 def _robust_combine(s: Scenario, a: dict) -> list[str]:
-    credal = {name: mass_to_credal(s.bodies[name]) for name in dict.fromkeys(a["bodies"])}
-    c = _combine_all([credal[name] for name in a["bodies"]])
+    c = robust_chain([s.bodies[name] for name in a["bodies"]])
     return _members(f"robust-combine {' (x) '.join(a['bodies'])}", c)
 
 
@@ -332,7 +285,7 @@ def _mass_to_credal(s: Scenario, a: dict) -> list[str]:
 
 
 def _laplace(s: Scenario, a: dict) -> list[str]:
-    c = _combine_all([s.credals[name] for name in a["credals"]])
+    c = laplace_chain([s.credals[name] for name in a["credals"]])
     return _members(f"laplace {' (x) '.join(a['credals'])}", c)
 
 

@@ -27,15 +27,21 @@ from plauscalc.credal import (
     envelopes,
 )
 from plauscalc.epsnum import EPS, ONE, ZERO, const
+import plauscalc.evidence
 from plauscalc.evidence import (
+    MAX_COEFF_BITS,
     MAX_COMBINED_MEMBERS,
+    MAX_MASS_DEGREE,
     Frame,
     MassFunction,
     SelectionBudgetError,
     TotalConflictError,
     bel_pl,
+    dempster_chain,
     dempster_combine,
+    laplace_chain,
     mass_to_credal,
+    robust_chain,
     run_gelman,
 )
 from plauscalc.scenario import load_scenario
@@ -277,6 +283,64 @@ class TestGelmanScenario:
             "m3": ZERO,
             "m": const(Fr(1, 2)),
         }
+
+
+class TestChains:
+    ABC = Frame("abc")
+
+    def test_one_element_chains_return_their_input(self):
+        m = mf(OMEGA, {("BC", "nBC"): Fr(1, 2), ("BnC", "nBnC"): Fr(1, 2)})
+        c = mass_to_credal(m)
+        assert dempster_chain([m]) is m
+        assert laplace_chain([c]) is c
+        assert robust_chain([m]).dists == c.dists
+
+    def test_repeated_body_is_translated_once(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return mass_to_credal(m)
+
+        monkeypatch.setattr(plauscalc.evidence, "mass_to_credal", counting)
+        m = mf(self.ABC, {"a": Fr(1, 2), "bc": Fr(1, 2)})
+        twin = mf(self.ABC, {"a": Fr(1, 2), "bc": Fr(1, 2)})  # equal, but a second body
+        c = robust_chain([m, m, twin, m])
+        assert calls == [m, twin] and calls[1] is twin
+        assert len(c) == 2 ** 4
+
+    def test_past_degree_bound_by_direct_call(self):
+        # each Dempster step of this body with itself raises its degree by one
+        m = mf(self.ABC, {"a": EPS / (3 + EPS), "ab": 1 / (3 + EPS), "abc": 2 / (3 + EPS)})
+        assert dempster_chain([m] * MAX_MASS_DEGREE).focal[0][1].degree == MAX_MASS_DEGREE
+        with pytest.raises(SelectionBudgetError) as info:
+            dempster_chain([m] * 1000)
+        assert str(info.value) == (f"dempster combination gives a mass of degree"
+                                   f" {MAX_MASS_DEGREE + 1} in eps, more than {MAX_MASS_DEGREE}")
+        # each Laplace step of this member with itself raises its degree by one
+        probs = [(1 + EPS) / (3 + 2 * EPS), 1 / (3 + 2 * EPS), (1 + EPS) / (3 + 2 * EPS)]
+        c = CredalSet(self.ABC, [ExtDist(self.ABC, probs)])
+        bayes = mf(self.ABC, dict(zip("abc", probs)))
+        for chain, arg in ((laplace_chain, c), (robust_chain, bayes)):
+            with pytest.raises(SelectionBudgetError) as info:
+                chain([arg] * 1000)
+            assert str(info.value) == (f"combination gives a probability of degree"
+                                       f" {MAX_MASS_DEGREE + 1} in eps, more than {MAX_MASS_DEGREE}")
+
+    def test_past_coefficient_bound_by_direct_call(self):
+        # a constant chain of n copies keeps degree 0 and gives 1/(1 + 2^n)
+        ab = Frame("ab")
+        m = mf(ab, {"a": Fr(1, 3), "b": Fr(2, 3)})
+        c = mass_to_credal(m)
+        n = MAX_COEFF_BITS - 1  # 1 + 2^n has MAX_COEFF_BITS bits
+        assert laplace_chain([c] * n).dists[0].probs[0] == const(Fr(1, 1 + 2 ** n))
+        finding = f"with an integer of {MAX_COEFF_BITS + 1} bits, more than {MAX_COEFF_BITS}"
+        for chain, arg, what in ((dempster_chain, m, "dempster combination gives a mass"),
+                                 (laplace_chain, c, "combination gives a probability"),
+                                 (robust_chain, m, "combination gives a probability")):
+            with pytest.raises(SelectionBudgetError) as info:
+                chain([arg] * 20_000)
+            assert str(info.value) == f"{what} {finding}"
 
 
 # -- the trusted routes ----------------------------------------------------------

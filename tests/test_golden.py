@@ -6,6 +6,7 @@ a change of user-visible output; it is never fixed by editing the golden file
 to match unless the output change itself is intended and documented.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,22 @@ def test_readme_command_output(case, capsys):
     assert dispatch(CASES[case]) == 0
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_example():
+    """Each line of README's "Library example" that ends in a comment gives the
+    value the comment starts with."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", text, re.S).group(1)
+    namespace, pending, checked = {}, [], 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("   # ")
+        if not comment:
+            pending.append(line)
+            continue
+        exec("\n".join(pending), namespace)
+        pending = []
+        expected = re.match(r"\(.*\)|\w+", comment.strip()).group(0)
+        assert repr(eval(code, namespace)) == expected, line
+        checked += 1
+    assert checked == 4 and not "".join(pending).strip()

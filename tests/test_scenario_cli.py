@@ -14,10 +14,9 @@ from pathlib import Path
 import pytest
 
 from plauscalc.cli import dispatch
+from plauscalc.evidence import MAX_COEFF_BITS, MAX_COMBINED_MEMBERS, MAX_MASS_DEGREE
 from plauscalc.kernels import check_axioms, get_kernel
 from plauscalc.scenario import (
-    MAX_COMBINED_MEMBERS,
-    MAX_MASS_DEGREE,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -405,6 +404,30 @@ class TestCliExitCodes:
         assert capsys.readouterr() == ("", (
             f"finding: combination gives a probability of degree {MAX_MASS_DEGREE + 1}"
             f" in eps, more than {MAX_MASS_DEGREE}\n"
+        ))
+
+    @staticmethod
+    def _constant_chain_doc(times):
+        # t names give 1/(1 + 2^t): degree 0, one more bit per step
+        return {"frame": ["a", "b"], "credals": [{"name": "c", "dists": [{"a": "1/3", "b": "2/3"}]}],
+                "queries": [{"op": "laplace", "credals": ["c"] * times}]}
+
+    def test_constant_chain_within_coefficient_bound_runs(self, capsys, tmp_path):
+        f = write_scenario(tmp_path, self._constant_chain_doc(2000))
+        assert dispatch(["scenario", "run", f]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("member ") == 1
+        assert f"member {{a: 1/{2 ** 2000 + 1}, b: " in out
+
+    def test_constant_chain_past_coefficient_bound_is_one_line_finding(self, capsys, tmp_path):
+        # 20,000 names ran for half a minute, then could not print the result
+        f = write_scenario(tmp_path, self._constant_chain_doc(20_000))
+        start = time.perf_counter()
+        assert dispatch(["scenario", "run", f]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            f"finding: combination gives a probability with an integer of {MAX_COEFF_BITS + 1}"
+            f" bits, more than {MAX_COEFF_BITS}\n"
         ))
 
     def test_dempster_bound_counts_subsets_of_a_small_frame(self, capsys, tmp_path):
