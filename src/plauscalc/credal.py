@@ -26,9 +26,9 @@ internal routes that build a result from values already checked --
 :func:`condition`, :func:`combine_laplace`,
 :func:`~plauscalc.evidence.dempster_combine` and
 :func:`~plauscalc.evidence.mass_to_credal` -- take their values as they are,
-through the private ``ExtDist._exact`` and ``MassFunction._exact``: exact
-arithmetic has made the result valid, each docstring gives the proof, and the
-result needs no second look.
+through the one private constructor ``_Frozen._exact``, and the first three
+divide by a total only through :func:`_normalize`: exact arithmetic has made
+the result valid, its docstring gives the proof, and no second look is needed.
 """
 
 from __future__ import annotations
@@ -75,6 +75,18 @@ class _Frozen:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _set(self, *values) -> None:
+        """Set the slots, in ``__slots__`` order: the one place it is done."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _exact(cls, *values):
+        """Internal: slot values already known valid, taken as they are."""
+        obj = object.__new__(cls)
+        obj._set(*values)
+        return obj
+
 
 class Frame(_Frozen):
     """Finite ordered frame of mutually exclusive outcomes.
@@ -91,7 +103,7 @@ class Frame(_Frozen):
             raise ValueError("frame must be nonempty")
         if len(set(atoms)) != len(atoms):
             raise ValueError("atom names must be unique")
-        object.__setattr__(self, "atoms", atoms)
+        self._set(atoms)
 
     @property
     def size(self) -> int:
@@ -152,17 +164,7 @@ class ExtDist(_Frozen):
         total = sum_values(values)
         if total != ONE:
             raise ValueError(f"probabilities sum to {_clip(total, str)}, expected 1")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "probs", values)
-
-    @classmethod
-    def _exact(cls, space: Frame, probs: Iterable[EpsRational]) -> "ExtDist":
-        """Internal: field values already known nonnegative and summing to 1,
-        taken as they are."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "space", space)
-        object.__setattr__(d, "probs", tuple(probs))
-        return d
+        self._set(space, values)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExtDist):
@@ -196,8 +198,7 @@ class CredalSet(_Frozen):
         for d in dists:
             if d.space.atoms != space.atoms:
                 raise ValueError("all distributions must share the outcome space")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "dists", dists)
+        self._set(space, dists)
 
     def __len__(self) -> int:
         return len(self.dists)
@@ -212,7 +213,7 @@ class PlausVector(_Frozen):
         comps = tuple(as_eps(c) for c in components)
         if not comps:
             raise ValueError("empty plausibility vector")
-        object.__setattr__(self, "components", comps)
+        self._set(comps)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -309,16 +310,25 @@ def more_plausible(c: CredalSet, a: SetLike, b: SetLike) -> ComparisonResult:
     return ComparisonResult("incomparable")
 
 
+def _normalize(weights: list[EpsRational]) -> Optional[tuple[EpsRational, ...]]:
+    """The weights over their total t, or None when t is 0: the one place a
+    result is divided by its total.  Nonnegative weights with t > 0 give values
+    w * t^-1 >= 0 summing to t * t^-1 = 1, and positive weights stay positive,
+    so the result is valid by construction."""
+    total = sum_values(weights)
+    if total.is_zero:
+        return None
+    inv = total.reciprocal()
+    return tuple(w * inv for w in weights)
+
+
 def condition(c: CredalSet, event: SetLike) -> CredalSet:
     """Per-component exact conditioning on the event.
 
+    Each component's kept probabilities go through :func:`_normalize`.
     Components giving the event probability exactly zero are eliminated as
     impossible candidate worlds; infinitesimal probabilities condition
     normally.  Raises when every component is eliminated.
-
-    Each survivor is valid by construction: its kept probabilities are
-    nonnegative with sum p(E) > 0, so every p * p(E)^-1 >= 0 and they sum to
-    p(E) * p(E)^-1 = 1.
     """
     mask = c.space.mask_of(event)
     if not mask:
@@ -327,40 +337,31 @@ def condition(c: CredalSet, event: SetLike) -> CredalSet:
     kept = c.space.atom_indices(mask)
     survivors = []
     for d in c.dists:
-        pe = d.event_prob(mask)
-        if pe.is_zero:
-            continue
-        inv = pe.reciprocal()
-        survivors.append(ExtDist._exact(new_space, [d.probs[i] * inv for i in kept]))
+        probs = _normalize([d.probs[i] for i in kept])
+        if probs is not None:
+            survivors.append(ExtDist._exact(new_space, probs))
     if not survivors:
         raise ImpossibleEventError("conditioning on impossible event")
-    return CredalSet(new_space, survivors)
+    return CredalSet._exact(new_space, tuple(survivors))
 
 
 def combine_laplace(c1: CredalSet, c2: CredalSet) -> CredalSet:
-    """Pairwise atomwise product of members, exactly renormalized.
+    """Pairwise atomwise product of members, renormalized by :func:`_normalize`.
 
     The result family is indexed by the lexicographic Cartesian product of
     the two index sets; index pairs whose product annihilates are dropped.
-
-    Each member is valid by construction: the weights w = p * q are
-    nonnegative with a sum t > 0, so every w * t^-1 >= 0 and they sum to
-    t * t^-1 = 1.
     """
     if c1.space.atoms != c2.space.atoms:
         raise ValueError("credal sets must share the outcome space")
     out = []
     for d1 in c1.dists:
         for d2 in c2.dists:
-            weights = [p * q for p, q in zip(d1.probs, d2.probs)]
-            total = sum_values(weights)
-            if total.is_zero:
-                continue
-            inv = total.reciprocal()
-            out.append(ExtDist._exact(c1.space, [w * inv for w in weights]))
+            probs = _normalize([p * q for p, q in zip(d1.probs, d2.probs)])
+            if probs is not None:
+                out.append(ExtDist._exact(c1.space, probs))
     if not out:
         raise IncompatibleCredalError("incompatible credal sets")
-    return CredalSet(c1.space, out)
+    return CredalSet._exact(c1.space, tuple(out))
 
 
 def envelopes(c: CredalSet, event: SetLike) -> tuple[Fraction, Fraction]:

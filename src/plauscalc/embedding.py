@@ -43,7 +43,7 @@ import random
 from functools import cached_property
 from typing import Any, NamedTuple
 
-from .kernels import AxiomCheck, AxiomReport, Kernel, UndefinedSumError
+from .kernels import AxiomCheck, AxiomReport, Kernel, UndefinedSumError, _check_samples
 
 __all__ = [
     "Frac",
@@ -283,8 +283,7 @@ def verify_embedding(kernel: Kernel, samples: int = 200, seed: int = 0) -> Embed
     """Sample pairs and confirm the embedding is a strictly monotone
     homomorphism: multiplication extends F, addition extends G where defined,
     the order is preserved both ways, and distinct values stay distinct."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(samples)
     emb = Embedding(kernel)
     k = kernel
     rng = random.Random(seed)

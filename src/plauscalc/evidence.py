@@ -19,10 +19,11 @@ routes famously disagree and reports both answers with exact envelopes.
 Values are checked once, where they enter, as in :mod:`plauscalc.credal`.
 :class:`MassFunction` is the validating entry point for a body of evidence:
 every parsed document and every user-built body goes through it.
-:func:`dempster_combine` builds its result through the private
-``MassFunction._exact``, and :func:`mass_to_credal` its members through
-``ExtDist._exact``, taking the values as they are; each docstring proves the
-result valid.
+:func:`dempster_combine` and :func:`mass_to_credal` build their results
+through the private ``_Frozen._exact``, taking the values as they are.
+Dempster's rule divides by the total through the one renormalisation route
+of :mod:`plauscalc.credal`, ``_normalize``, which also conditions and
+combines credal sets; its docstring proves the result valid.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .credal import CredalSet, ExtDist, Frame, Prob, SetLike, _Frozen, combine_laplace, envelopes
+from .credal import (CredalSet, ExtDist, Frame, Prob, SetLike, _Frozen, _normalize,
+                     combine_laplace, envelopes)
 from .epsnum import ONE, ZERO, EpsRational, _clip, as_eps, sum_products, sum_values
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "MAX_COMBINED_MEMBERS",
     "MAX_MASS_DEGREE",
     "MAX_COEFF_BITS",
+    "MAX_CREDAL_CELLS",
     "MassFunction",
     "dempster_combine",
     "bel_pl",
@@ -56,6 +59,11 @@ __all__ = [
 # on the focal sets one step of a chain of Dempster combinations can produce.
 MAX_COMBINED_MEMBERS = 10_000
 
+# Bound on the probabilities, members times atoms, of a credal set that a
+# translation or a combination of credal sets could produce: a small input on
+# a large frame can otherwise ask for millions.
+MAX_CREDAL_CELLS = 100_000
+
 # Bounds on the values a chain of combinations produces, Dempster's or
 # Laplace's: their degree in eps, and the bits of their largest integer.  Each
 # step can raise both, and the cost of a step grows with them, so a long chain
@@ -72,7 +80,8 @@ class SelectionBudgetError(ValueError):
     """Credal translation would enumerate too many selection functions, a
     combination of credal sets or bodies of evidence could have too many
     members or focal sets, or a chain of combinations gives a value of too
-    high a degree in eps or with too large an integer."""
+    high a degree in eps or with too large an integer, or a credal set built
+    from them could hold too many probabilities."""
 
 
 class MassFunction(_Frozen):
@@ -103,18 +112,7 @@ class MassFunction(_Frozen):
         total = sum_values(acc.values())
         if total != ONE:
             raise ValueError(f"masses sum to {_clip(total, str)}, expected 1")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "focal", tuple(sorted(acc.items())))
-
-    @classmethod
-    def _exact(cls, frame: Frame, focal: Iterable[tuple[int, EpsRational]]) -> "MassFunction":
-        """Internal: (mask, mass) pairs on distinct nonempty masks, with
-        masses already known positive and summing to 1, taken as they are and
-        sorted by mask."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "frame", frame)
-        object.__setattr__(m, "focal", tuple(sorted(focal)))
-        return m
+        self._set(frame, tuple(sorted(acc.items())))
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
@@ -139,27 +137,23 @@ class MassFunction(_Frozen):
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Random-set intersection conditioned on non-emptiness, exactly.
 
-    Conflict mass K is divided away; K = 1 raises :class:`TotalConflictError`.
-
-    The result is valid by construction.  The products m1(B) * m2(C) are
-    positive and sum to 1 over all pairs.  K sums those with B & C empty, so
-    K <= 1, and K = 1 is refused: 1 - K > 0.  Each mass on a nonempty A is a
-    sum of positive products times (1 - K)^-1, so it is positive, and the
-    masses sum to (1 - K) * (1 - K)^-1 = 1.
+    The products m1(B) * m2(C) are summed over each nonempty intersection
+    A = B & C, and the sums go through :func:`~plauscalc.credal._normalize`.
+    They add up to 1 - K, the mass not in conflict, so the conflict mass K is
+    divided away; K = 1 leaves no nonempty intersection and raises
+    :class:`TotalConflictError`.
     """
     if m1.frame.atoms != m2.frame.atoms:
         raise ValueError("mass functions must share the frame")
     groups: dict[int, list[tuple[EpsRational, EpsRational]]] = {}
     for a, ma in m1.focal:
         for b, mb in m2.focal:
-            groups.setdefault(a & b, []).append((ma, mb))
-    conflict = sum_products(groups.pop(0, ()))
-    if conflict == ONE:
+            if c := a & b:
+                groups.setdefault(c, []).append((ma, mb))
+    masses = _normalize([sum_products(ws) for ws in groups.values()])
+    if masses is None:
         raise TotalConflictError("total conflict")
-    inv = (ONE - conflict).reciprocal()
-    return MassFunction._exact(
-        m1.frame, [(mask, sum_products(ws) * inv) for mask, ws in groups.items()]
-    )
+    return MassFunction._exact(m1.frame, tuple(sorted(zip(groups, masses))))
 
 
 def bel_pl(m: MassFunction, event: SetLike) -> tuple[EpsRational, EpsRational]:
@@ -180,7 +174,8 @@ def mass_to_credal(m: MassFunction) -> CredalSet:
     each give the uniform distribution.  Their envelopes reproduce belief and
     plausibility.  Raises
     :class:`SelectionBudgetError` above :data:`MAX_COMBINED_MEMBERS` selection
-    functions.
+    functions, or above :data:`MAX_CREDAL_CELLS` selection functions times
+    atoms.
 
     Each member is valid by construction: it adds up the positive focal
     masses, one per focal set, so its values are nonnegative and sum to
@@ -195,6 +190,7 @@ def mass_to_credal(m: MassFunction) -> CredalSet:
                 f" (at least {count})"
             )
     n = m.frame.size
+    _bound_cells(count, n, "credal translation", "selection functions")
     # Keyed on the canonical (numerator, denominator) tuples: canonical forms
     # are unique, and a constant's hash would build a Fraction.
     seen: dict[tuple, list[EpsRational]] = {}
@@ -213,8 +209,18 @@ def mass_to_credal(m: MassFunction) -> CredalSet:
             nxt = list(acc)
             nxt[atom] = nxt[atom] + mass
             stack.append((i + 1, nxt))
-    dists = [ExtDist._exact(m.frame, probs) for probs in seen.values()]
-    return CredalSet(m.frame, dists)
+    dists = tuple(ExtDist._exact(m.frame, tuple(probs)) for probs in seen.values())
+    return CredalSet._exact(m.frame, dists)
+
+
+def _bound_cells(members: int, atoms: int, what: str, unit: str) -> None:
+    """Refuse a credal set of up to ``members`` members over ``atoms`` atoms
+    that could hold more than :data:`MAX_CREDAL_CELLS` probabilities."""
+    if members * atoms > MAX_CREDAL_CELLS:
+        raise SelectionBudgetError(
+            f"{what} could have more than {MAX_CREDAL_CELLS} probabilities"
+            f" ({members} {unit} over {atoms} atoms)"
+        )
 
 
 def _bound_size(values: Iterable[EpsRational], what: str) -> None:
@@ -252,8 +258,8 @@ def dempster_chain(bodies: Sequence[MassFunction]) -> MassFunction:
 
 def laplace_chain(credals: Sequence[CredalSet]) -> CredalSet:
     """Laplace combination of a nonempty list of credal sets, left to right;
-    too many members in all, or a step that gives too large a probability, is
-    refused with :class:`SelectionBudgetError`."""
+    too many members or probabilities in all, or a step that gives too large
+    a probability, is refused with :class:`SelectionBudgetError`."""
     bound = 1
     for c in credals:
         bound *= len(c)
@@ -263,6 +269,7 @@ def laplace_chain(credals: Sequence[CredalSet]) -> CredalSet:
                 f" (at least {bound})"
             )
     c, *rest = credals
+    _bound_cells(bound, c.space.size, "combination", "members")
     for nxt in rest:
         c = combine_laplace(c, nxt)
         _bound_size((p for d in c.dists for p in d.probs), "combination gives a probability")

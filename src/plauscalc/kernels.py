@@ -58,6 +58,7 @@ __all__ = [
     "get_kernel",
     "AxiomCheck",
     "AxiomReport",
+    "MAX_SAMPLES",
     "check_axioms",
     "ArchimedeanResult",
     "archimedean_check",
@@ -379,6 +380,20 @@ class AxiomReport:
         return lines
 
 
+# Bound on the sample count of a check: a sample costs up to a millisecond, so
+# the largest count runs for a minute or two rather than for days.
+MAX_SAMPLES = 100_000
+
+
+def _check_samples(samples: int) -> None:
+    """Refuse a sample count below 1, which would report laws never checked,
+    or above :data:`MAX_SAMPLES`."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}")
+
+
 def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomReport:
     """Sample the kernel laws and report each with a witness on failure.
 
@@ -386,8 +401,7 @@ def check_axioms(kernel: Kernel, samples: int = 500, seed: int = 0) -> AxiomRepo
     strictness side conditions) are skipped for that tuple, so per-law check
     counts differ from the sample count.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(samples)
     rng = random.Random(seed)
     k = kernel
     bot, top = k.bottom, k.top

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from conftest import rand_eps_rational
 
 from plauscalc.embedding import (
     Diff,
@@ -19,11 +20,13 @@ from plauscalc.embedding import (
     verify_embedding,
 )
 from plauscalc.epsnum import EPS, ONE, ZERO, const
+import plauscalc.kernels
 from plauscalc.kernels import (
     KERNELS,
     DomainError,
     RatKernel,
     UndefinedSumError,
+    check_axioms,
     get_kernel,
 )
 
@@ -288,3 +291,53 @@ class TestSampleCount:
 
     def test_one_sample_runs(self, rat_kernel):
         assert verify_embedding(rat_kernel, samples=1).all_passed
+
+    @pytest.mark.parametrize("check", [verify_embedding, check_axioms])
+    def test_bound_is_shared_and_inclusive(self, rat_kernel, monkeypatch, check):
+        monkeypatch.setattr(plauscalc.kernels, "MAX_SAMPLES", 3)
+        assert check(rat_kernel, samples=3).samples == 3
+        with pytest.raises(ValueError, match="^samples must be <= 3$"):
+            check(rat_kernel, samples=4)
+
+
+def lift(emb, v):
+    """The ambient-field value v as a tower element, built from kernel values:
+    with t = 1/(1 + |v|), p = max(vt, 0) and n = max(-vt, 0) lie in [0, 1), and
+    lift(v) = (embed(p) - embed(n)) / embed(t)."""
+    zero = v * 0
+    t = 1 / (1 + (-v if v < zero else v))
+    p, n = max(v * t, zero), max(-v * t, zero)
+    return (emb.embed(p) - emb.embed(n)) / emb.embed(t)
+
+
+class TestMinimality:
+    """The paper's minimality theorem, lift direction: the tower over the rat
+    (eps) kernel is all of Q (Q(eps)), not a proper extension of it.  Every
+    ambient value v is reached by ``lift``, which collapses back to v; and
+    every tower element is equal to the lift of its collapse."""
+
+    def test_collapse_of_lift_is_identity_on_rat(self, rat_kernel):
+        emb = Embedding(rat_kernel)
+        rng = random.Random(21)
+        values = [Fr(0), Fr(1), Fr(-1)] + [
+            Fr(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(30)]
+        for v in values:
+            assert collapse_field(lift(emb, v), _rat_div) == v
+
+    def test_collapse_of_lift_is_identity_on_eps(self, eps_kernel):
+        emb = Embedding(eps_kernel)
+        rng = random.Random(22)
+        values = [ZERO, ONE, -ONE, EPS, -EPS, 1 / EPS, -1 / EPS ** 2] + [
+            rand_eps_rational(rng, max_deg=2, bound=9) for _ in range(8)]
+        for v in values:
+            assert collapse_field(lift(emb, v), _eps_div) == v
+
+    @pytest.mark.parametrize("name, div", [("rat", _rat_div), ("eps", _eps_div)])
+    def test_lift_of_collapse_is_identity_on_tower(self, name, div):
+        k = get_kernel(name)
+        emb = Embedding(k)
+        rng = random.Random(23)
+        for _ in range(8):
+            ea, eb, ec = (emb.embed(k.sample(rng)) for _ in range(3))
+            x = ea - eb if emb.field_sign(ec) == 0 else (ea - eb) / ec
+            assert emb.field_eq(lift(emb, collapse_field(x, div)), x)

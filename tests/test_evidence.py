@@ -327,6 +327,24 @@ class TestChains:
             assert str(info.value) == (f"combination gives a probability of degree"
                                        f" {MAX_MASS_DEGREE + 1} in eps, more than {MAX_MASS_DEGREE}")
 
+    def test_cell_bound_is_inclusive(self, monkeypatch):
+        # one focal set over three of four atoms: 3 members of 4 probabilities,
+        # and up to 9 when the translation is combined with itself
+        m = mf(Frame("abcd"), {"abc": 1})
+        monkeypatch.setattr(plauscalc.evidence, "MAX_CREDAL_CELLS", 12)
+        c = mass_to_credal(m)
+        assert len(c) == 3
+        with pytest.raises(SelectionBudgetError, match=r"^combination could have more than 12"
+                                                       r" probabilities \(9 members over 4 atoms\)$"):
+            laplace_chain([c, c])
+        monkeypatch.setattr(plauscalc.evidence, "MAX_CREDAL_CELLS", 36)
+        assert len(laplace_chain([c, c])) == 3  # the six mixed pairs annihilate
+        monkeypatch.setattr(plauscalc.evidence, "MAX_CREDAL_CELLS", 11)
+        with pytest.raises(SelectionBudgetError, match=r"^credal translation could have more than"
+                                                       r" 11 probabilities \(3 selection functions"
+                                                       r" over 4 atoms\)$"):
+            mass_to_credal(m)
+
     def test_past_coefficient_bound_by_direct_call(self):
         # a constant chain of n copies keeps degree 0 and gives 1/(1 + 2^n)
         ab = Frame("ab")

@@ -1,12 +1,14 @@
 """Golden outputs: the exact stdout and exit code of every command the README
 shows, run on the shipped scenario files.
 
-The expected text lives in ``tests/golden/<case>.out``.  A difference here is
-a change of user-visible output; it is never fixed by editing the golden file
-to match unless the output change itself is intended and documented.
+The expected text lives in ``tests/golden/<case>.out``, and the exit code is 0
+unless ``EXIT_CODES`` names another.  A difference here is a change of
+user-visible output; it is never fixed by editing the golden file to match
+unless the output change itself is intended and documented.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,8 @@ CASES = {
     "order-eq": ["order", "1/2 + eps", "(1+2*eps)/2"],
     "check-axioms-rat": ["check-axioms", "--kernel", "rat", "--samples", "500", "--seed", "0"],
     "check-axioms-eps": ["check-axioms", "--kernel", "eps", "--samples", "40"],
+    "check-axioms-eps-500": ["check-axioms", "--kernel", "eps"],
+    "check-axioms-broken-s": ["check-axioms", "--kernel", "broken-s", "--samples", "50"],
     "embed-rat": ["embed", "--kernel", "rat", "--samples", "200"],
     "embed-eps": ["embed", "--kernel", "eps", "--samples", "8"],
     "embed-bool": ["embed", "--kernel", "bool"],
@@ -36,14 +40,30 @@ CASES = {
     "credal-condition-ops": ["credal", "condition", OPS, "--credal", "c1", "--event", "a"],
     "credal-decompose-ops": ["credal", "decompose", OPS, "--credal", "c1", "--event", "a"],
     "scenario-law-eps": ["scenario-law", "--kernel", "eps", "--law", "distrib", "1/6", "1/3", "1/2"],
+    "scenario-law-bool": ["scenario-law", "--kernel", "bool", "--law", "comm_G", "1", "0"],
 }
+
+EXIT_CODES = {"check-axioms-broken-s": 1}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_readme_command_output(case, capsys):
-    assert dispatch(CASES[case]) == 0
+    assert dispatch(CASES[case]) == EXIT_CODES.get(case, 0)
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_cases_are_the_readme_commands():
+    """README's command block and ``CASES`` list the same argv lists."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    readme = []
+    for line in filter(str.strip, block.splitlines()):
+        prog, *argv = shlex.split(line, comments=True)
+        assert prog == "plauscalc", line
+        readme.append([str(REPO / a) if a.startswith("scenarios/") else a for a in argv])
+    assert sorted(readme) == sorted(CASES.values())
+    assert set(EXIT_CODES) <= set(CASES)
 
 
 def test_readme_library_example():

@@ -14,8 +14,13 @@ from pathlib import Path
 import pytest
 
 from plauscalc.cli import dispatch
-from plauscalc.evidence import MAX_COEFF_BITS, MAX_COMBINED_MEMBERS, MAX_MASS_DEGREE
-from plauscalc.kernels import check_axioms, get_kernel
+from plauscalc.evidence import (
+    MAX_COEFF_BITS,
+    MAX_COMBINED_MEMBERS,
+    MAX_CREDAL_CELLS,
+    MAX_MASS_DEGREE,
+)
+from plauscalc.kernels import MAX_SAMPLES, check_axioms, get_kernel
 from plauscalc.scenario import (
     ScenarioError,
     load_scenario,
@@ -456,6 +461,47 @@ class TestCliExitCodes:
             " selection functions (at least 19683)\n"
         ))
 
+    @staticmethod
+    def _wide_doc(atoms, sets, query):
+        # bodies of equal masses on the given sets of atom numbers
+        frame = [f"a{i}" for i in range(atoms)]
+        bodies = [{"name": f"m{j}", "masses": [
+            {"set": [frame[i] for i in s], "mass": f"1/{len(ss)}"} for s in ss
+        ]} for j, ss in enumerate(sets)]
+        return {"frame": frame, "bodies": bodies, "queries": [query]}
+
+    def test_credal_translation_within_cell_bound_runs(self, capsys, tmp_path):
+        # one focal set over 316 atoms: 316 members of 316 probabilities
+        doc = self._wide_doc(316, [[range(316)]], {"op": "mass-to-credal", "body": "m0"})
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("mass-to-credal m0: 316 members\n")
+
+    def test_credal_translation_past_cell_bound_is_one_line_finding(self, capsys, tmp_path):
+        # one focal set over 1,500 atoms: a 24 KB file asked for 2.25 million probabilities
+        doc = self._wide_doc(1500, [[range(1500)]], {"op": "mass-to-credal", "body": "m0"})
+        start = time.perf_counter()
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            f"finding: credal translation could have more than {MAX_CREDAL_CELLS}"
+            " probabilities (1500 selection functions over 1500 atoms)\n"
+        ))
+
+    def test_robust_combine_past_cell_bound_is_one_line_finding(self, capsys, tmp_path):
+        # each body translates to 100 members over 400 atoms, all with mass 1/2
+        # on atom 100; their product has 10,000 members, within the member
+        # bound, of 400 probabilities each (a 4 KB file ran 7 s for them)
+        sets = [[range(100), [100]]] * 2
+        doc = self._wide_doc(400, sets, {"op": "robust-combine", "bodies": ["m0", "m1"]})
+        start = time.perf_counter()
+        assert dispatch(["scenario", "run", write_scenario(tmp_path, doc)]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            f"finding: combination could have more than {MAX_CREDAL_CELLS}"
+            " probabilities (10000 members over 400 atoms)\n"
+        ))
+
     def test_robust_combine_translates_each_body_once(self, capsys, tmp_path):
         doc = {"frame": list("abcdef"), "bodies": [self._heavy_body(8)],
                "queries": [{"op": "robust-combine", "bodies": ["h"] * 200}]}
@@ -569,6 +615,15 @@ class TestCliExitCodes:
     def test_embed_without_samples_is_usage_error(self, capsys, samples):
         assert dispatch(["embed", "--kernel", "rat", "--samples", samples]) == 2
         assert capsys.readouterr() == ("", "error: samples must be >= 1\n")
+
+    @pytest.mark.parametrize("command", ["check-axioms", "embed"])
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10 ** 9])
+    def test_samples_past_bound_is_usage_error(self, capsys, command, samples):
+        # 10^9 embed samples would run for about nine days
+        start = time.perf_counter()
+        assert dispatch([command, "--kernel", "rat", "--samples", str(samples)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"error: samples must be <= {MAX_SAMPLES}\n")
 
     def test_scenario_law_on_bool_kernel(self, capsys):
         law = ["scenario-law", "--kernel", "bool", "--law", "comm_G"]
