@@ -23,7 +23,10 @@ order-theoretic properties whose failure signals infinitesimal values.
 Kernel work is done once.  The checker evaluates each expression once per
 sampled triple and reuses it across the laws that mention it; the rat order
 compares integer cross-products of numerators and denominators rather than
-going through ``Fraction``'s generic comparison; the Archimedean probe costs
+going through ``Fraction``'s generic comparison, and the rat F, G and S
+build each result from the operands' integer numerators and denominators with
+one ``Fraction(n, d)``, which divides out the gcd and so gives the same
+canonical value as ``Fraction``'s own operators; the Archimedean probe costs
 one G per bit of ``n_max``.
 
 Values are checked once, where they enter, and ``_require`` is the one
@@ -176,7 +179,16 @@ class Kernel(ABC):
 
 
 class RatKernel(Kernel):
-    """Rationals in [0, 1] under multiplication / addition / complement."""
+    """Rationals in [0, 1] under multiplication / addition / complement.
+
+    F, G and S skip ``Fraction``'s generic operators: each result is one
+    ``Fraction(n, d)`` of integer products of the operands' numerators and
+    denominators (``xn*yn / xd*yd``, ``(xn*yd + yn*xd) / xd*yd`` and
+    ``(d - n) / d``).  The constructor divides out gcd(n, d), so the result
+    is the canonical ``Fraction`` that ``x * y``, ``x + y`` or ``1 - x``
+    gives, and a ``Fraction`` even when an operand is the int 0 or 1.  S's
+    parts are already coprime, since gcd(d - n, d) = gcd(n, d) = 1.
+    """
 
     name = "rat"
     bottom, top, nontrivial = Fraction(0), Fraction(1), Fraction(1, 2)
@@ -211,13 +223,15 @@ class RatKernel(Kernel):
         return Fraction(rng.randint(0, den), den)
 
     def _f(self, x, y):
-        return x * y
+        return Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
 
     def _s(self, x):
-        return 1 - x
+        d = x.denominator
+        return Fraction(d - x.numerator, d)
 
     def _g(self, x, y):
-        return x + y
+        xd, yd = x.denominator, y.denominator
+        return Fraction(x.numerator * yd + y.numerator * xd, xd * yd)
 
 
 class BrokenNegationKernel(RatKernel):
@@ -230,7 +244,8 @@ class BrokenNegationKernel(RatKernel):
     name = "broken-s"
 
     def _s(self, x):
-        return (1 - x) ** 2
+        d = x.denominator
+        return Fraction((d - x.numerator) ** 2, d * d)
 
 
 _EPS_SPECIALS = (ZERO, ONE, EPS, ONE - EPS, EPS * EPS, const(Fraction(1, 2)) + EPS)

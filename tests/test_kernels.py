@@ -4,9 +4,13 @@ Both diagnostic searches are cross-checked against independent brute-force
 oracles at desk scale: literal one-at-a-time iteration for the archimedean
 bound and a full double loop for separability witnesses.  The axiom checker,
 which evaluates each expression once per triple, is cross-checked against a
-reference that evaluates every law operand afresh.
+reference that evaluates every law operand afresh.  The rat kernel's F, G
+and S, built on integer numerators and denominators, are checked against
+``Fraction``'s own operators, directly and through twin kernels that carry the
+operator forms into the checker, the embedding and both probes.
 """
 
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plauscalc.embedding import verify_embedding
 from plauscalc.epsnum import EPS, ONE, ZERO, const
 from plauscalc.kernels import (
     KERNELS,
@@ -350,6 +355,30 @@ class TestRatOrder:
             assert not rat_kernel.contains(v)
 
 
+class TestRatOperations:
+    """F, G and S on integer parts equal Fraction's operators, as canonical Fractions."""
+
+    values = st.one_of(
+        st.sampled_from([0, 1]),
+        # Small denominators, as the sampler draws, and parts up to 2^60.
+        (st.integers(1, 16) | st.integers(1, 2**60)).flatmap(
+            lambda d: st.builds(Fr, st.integers(0, d), st.just(d))
+        ),
+    )
+
+    @settings(max_examples=400, derandomize=True)
+    @given(values, values)
+    def test_agree_with_fraction_operators(self, x, y):
+        rat, broken = get_kernel("rat"), get_kernel("broken-s")
+        cases = [(rat._f(x, y), x * y), (rat._s(x), 1 - x), (broken._s(x), (1 - x) ** 2)]
+        if rat._g_defined(x, y):
+            cases.append((rat._g(x, y), x + y))
+        for got, want in cases:
+            assert got == want
+            assert type(got) is Fr
+            assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+
+
 class TestBoolCoerce:
     def test_constants_zero_and_one(self, bool_kernel):
         for v in (0, Fr(0), const(0), ZERO, False):
@@ -535,6 +564,28 @@ class _CountingBroken(_CountingS, BrokenNegationKernel):
     pass
 
 
+class _RefRat(RatKernel):
+    """rat with F, G and S as Fraction's operators: the reference forms."""
+
+    def _f(self, x, y):
+        return x * y
+
+    def _s(self, x):
+        return 1 - x
+
+    def _g(self, x, y):
+        return x + y
+
+
+class _RefBroken(BrokenNegationKernel):
+    """broken-s with F, G and S as Fraction's operators."""
+
+    _f, _g = _RefRat._f, _RefRat._g
+
+    def _s(self, x):
+        return (1 - x) ** 2
+
+
 class TestCheckerAgainstReference:
     @pytest.mark.parametrize("name", ["rat", "eps", "bool", "broken-s"])
     def test_law_by_law_equal(self, name):
@@ -559,6 +610,51 @@ class TestCheckerAgainstReference:
             assert len(per_triple) == 200
             assert max(per_triple) <= 6, per_triple  # plus the one S(bottom) at the end
             assert min(per_triple) >= 4  # S(x), S(y), S(z) and S(S(x)) are always needed
+
+
+TWINS = [("rat", _RefRat), ("broken-s", _RefBroken)]
+
+
+class TestOperatorTwins:
+    """Each built-in rat kernel reports what its Fraction-operator twin reports."""
+
+    @pytest.mark.parametrize("name, twin", TWINS)
+    def test_check_axioms(self, name, twin):
+        k, ref = get_kernel(name), twin()
+        for seed in range(21):
+            got, want = check_axioms(k, 60, seed), check_axioms(ref, 60, seed)
+            assert got.format_lines() == want.format_lines()
+            assert _law_table(got) == _law_table(want)
+
+    @pytest.mark.parametrize("name, twin", TWINS)
+    def test_verify_embedding(self, name, twin):
+        k, ref = get_kernel(name), twin()
+        for seed in range(5):
+            got, want = verify_embedding(k, 30, seed), verify_embedding(ref, 30, seed)
+            assert got.format_lines() == want.format_lines()
+            assert _law_table(got) == _law_table(want)
+
+    @pytest.mark.parametrize("name, twin", TWINS)
+    def test_probes(self, name, twin):
+        k, ref = get_kernel(name), twin()
+        rng = random.Random(0)
+
+        def interior():
+            while True:
+                v = k.sample(rng)
+                if 0 < v < 1:
+                    return v
+
+        for _ in range(200):
+            e, n_max = interior(), rng.randint(1, 300)
+            assert archimedean_check(k, e, n_max) == archimedean_check(ref, e, n_max), (e, n_max)
+            x, y = interior(), interior()
+            if x == y:
+                continue
+            x, y = min(x, y), max(x, y)
+            c, bound = interior(), rng.randint(1, 20)
+            got = separability_check(k, x, y, c, bound)
+            assert got == separability_check(ref, x, y, c, bound), (x, y, c, bound)
 
 
 class TestArchimedeanBounds:
